@@ -157,14 +157,21 @@ def cmd_hunt(args):
     )
 
 
-def _parse_range(text):
-    lo, _, hi = text.partition("..")
-    return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+def _parse_range(flag, text):
+    """'k' or 'lo..hi' with integer bounds and lo <= hi, as (lo, hi)."""
+    lo, sep, hi = text.partition("..")
+    try:
+        bounds = (int(lo), int(hi if sep else lo))
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: expected an integer or a range lo..hi") from None
+    if bounds[0] > bounds[1]:
+        raise ValueError(f"{flag} {text!r}: empty range, lower bound above upper bound")
+    return bounds
 
 
 def cmd_table1(args):
-    n_range = _parse_range(args.n)
-    m_range = _parse_range(args.m)
+    n_range = _parse_range("--n", args.n)
+    m_range = _parse_range("--m", args.m)
     l_values = None if args.l == "all" else {int(x) for x in args.l.split(",")}
     seen = set()
     out = []

@@ -19,7 +19,11 @@ from fractions import Fraction
 
 from . import linalg
 from .graphs import (
+    InvariantError,
     NotNegativeDefiniteError,
+    _pivot_determinant,
+    _tree_elimination,
+    _tree_solve,
     format_graph,
     intersection_matrix,
     is_negative_definite,
@@ -76,24 +80,29 @@ def _graph_data(g):
     """(delta, adjugate of -M, e) for a negative definite graph, cached.
 
     adjugate/delta is the inverse of -M, so solves of M x = -rhs reduce to
-    one integer matrix-vector product.
+    one integer matrix-vector product.  delta is the pivot product of one
+    tree elimination, and the adjugate takes n tree solves, O(n^2) in all.
     """
     key = _structural_key(g)
     hit = _GRAPH_CACHE.get(key)
     if hit is not None:
         return hit
-    m = intersection_matrix(g)
-    n = len(m)
-    neg = [[-x for x in row] for row in m]
-    delta = linalg.int_det(neg)
-    assert delta > 0
-    sub = lambda r, c: [
-        [neg[i][j] for j in range(n) if j != c] for i in range(n) if i != r
-    ]
+    elimination = _tree_elimination(g)
+    if elimination is None:
+        raise NotNegativeDefiniteError(f"{format_graph(g)} is not negative definite")
+    delta = _pivot_determinant(elimination[2])
+    if delta <= 0:
+        raise InvariantError(f"det(-M) = {delta} of a negative definite graph is not positive")
+    n = len(g.vertices)
+    # -M is symmetric, so the solve for delta times the j-th unit vector is
+    # row j of the adjugate
     adj = [
-        [(-1) ** (i + j) * linalg.int_det(sub(j, i)) for j in range(n)]
-        for i in range(n)
+        _tree_solve(elimination, [delta if i == j else 0 for i in range(n)])
+        for j in range(n)
     ]
+    if any(x.denominator != 1 for row in adj for x in row):
+        raise InvariantError(f"adjugate of {format_graph(g)} is not integral")
+    adj = [[int(x) for x in row] for row in adj]
     kappa = [w - 2 for _, w in g.vertices]
     e = tuple(
         Fraction(sum(adj[i][j] * kappa[j] for j in range(n)), delta)
@@ -122,7 +131,8 @@ def discrepancies(g):
     """
     _require_usable(g)
     e = _graph_data(g)[2]
-    assert all(x >= 0 for x in e)
+    if any(x < 0 for x in e):
+        raise InvariantError(f"negative discrepancy {e} on {format_graph(g)}")
     return e
 
 
@@ -149,7 +159,8 @@ def pair_coefficients(g, a):
     d = tuple(
         Fraction(sum(adj[i][j] * a[j] for j in range(n)), delta) for i in range(n)
     )
-    assert all(x >= 0 for x in d)
+    if any(x < 0 for x in d):
+        raise InvariantError(f"negative coefficient {d} for incidence {a}")
     b = tuple(di + ei for di, ei in zip(d, e))
     f = tuple(1 - bi for bi in b)
     return DiscrepancyData(a, d, e, b, f)

@@ -8,10 +8,9 @@ written e.g. "2[2^4]+[2,4]".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from . import linalg
 
 
 class DynkinSyntaxError(ValueError):
@@ -28,6 +27,10 @@ class NotNegativeDefiniteError(ValueError):
 
 class ParamOutOfRangeError(ValueError):
     pass
+
+
+class InvariantError(ArithmeticError):
+    """An exact computation broke an identity that the theory guarantees."""
 
 
 @dataclass(frozen=True)
@@ -416,28 +419,73 @@ def intersection_matrix(g):
     return m
 
 
+def _tree_elimination(g):
+    """Gaussian elimination of -M from the leaves to the root, or None.
+
+    The graph is a tree, so eliminating a vertex only changes the diagonal
+    entry of its parent and nothing fills in.  Returns (order, parent,
+    pivots): the vertex positions leaf to root (position 0 is the root), the
+    parent position of each position (None at the root), and the pivot
+    p_v = w_v - sum over the children c of 1/p_c at each position.  Returns
+    None at the first pivot <= 0, i.e. when -M is not positive definite.
+    """
+    index = {v: i for i, (v, _) in enumerate(g.vertices)}
+    nbrs = [[] for _ in index]
+    for e in g.edges:
+        a, b = (index[v] for v in e)
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    parent = [None] * len(index)
+    order = [0] if index else []
+    for v in order:  # breadth first from the root; grows while it runs
+        for c in nbrs[v]:
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    order.reverse()
+    pivots = [Fraction(w) for _, w in g.vertices]
+    for v in order:
+        p = pivots[v]
+        if p <= 0:
+            return None
+        if parent[v] is not None:
+            pivots[parent[v]] -= 1 / p
+    return order, parent, pivots
+
+
+def _tree_solve(elimination, b):
+    """x with -M x = b, from the output of _tree_elimination in O(n)."""
+    order, parent, pivots = elimination
+    x = list(b)
+    for v in order:  # fold each row into its parent's row
+        if parent[v] is not None and x[v]:
+            x[parent[v]] += x[v] / pivots[v]
+    for v in reversed(order):  # root first, so x[parent] is already solved
+        up = parent[v]
+        x[v] = (x[v] if up is None else x[v] + x[up]) / pivots[v]
+    return x
+
+
+def _pivot_determinant(pivots):
+    """det(-M) as the product of the elimination pivots; must be an integer."""
+    d = math.prod(pivots)
+    if d.denominator != 1:
+        raise InvariantError(f"determinant {d} of an integer matrix is not integral")
+    return int(d)
+
+
 def is_negative_definite(g):
-    if g.is_empty():
-        return True
-    m = intersection_matrix(g)
-    return all(
-        (minor < 0 if k % 2 else minor > 0)
-        for k, minor in enumerate(
-            (linalg.int_det([row[: j + 1] for row in m[: j + 1]]) for j in range(len(m))),
-            1,
-        )
-    )
+    return g.is_empty() or _tree_elimination(g) is not None
 
 
 def graph_determinant(g):
     """|det| of the intersection matrix; 1 for the empty graph."""
     if g.is_empty():
         return 1
-    if not is_negative_definite(g):
+    elimination = _tree_elimination(g)
+    if elimination is None:
         raise NotNegativeDefiniteError(f"{format_graph(g)} is not negative definite")
-    d = linalg.det(intersection_matrix(g))
-    assert d.denominator == 1
-    return abs(int(d))
+    return _pivot_determinant(elimination[2])
 
 
 def dynkin_matrix(t):

@@ -1,8 +1,13 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact dense linear algebra over the rationals and the integers.
 
-Small dense matrices only (the graphs handled here have at most a few
-dozen vertices), so plain Gaussian elimination with Fraction entries is
-fast enough and keeps everything exact.
+Dual graphs do not come here: they are trees, which `graphs` eliminates
+from the leaves to the root in linear time.  The remaining callers need a
+dense method on small matrices: `picard` takes the leading minors (`det`)
+and solves (`solve`) of the Gram matrix of the contracted classes of a
+blowup lattice (ten or fewer in the presets) and the Smith normal form of
+its lattices, and `discrepancy._delta_sub` takes the `int_det` of the
+principal submatrices in the closed-form displays.  Tests use `solve` and
+`int_det` as oracles for the tree kernel.
 """
 
 from fractions import Fraction
@@ -10,10 +15,6 @@ from fractions import Fraction
 
 class SingularMatrixError(ValueError):
     pass
-
-
-def mat_vec(m, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
 
 
 def solve(m, rhs):
@@ -32,16 +33,6 @@ def solve(m, rhs):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
-
-
-def inverse(m):
-    n = len(m)
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(solve(m, e))
-    # cols[j] is the j-th column of m^{-1}
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def det(m):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .fields import QQ, FpElement, PrimeField
+from .fields import FpElement, PrimeField
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,6 @@ class ExactPolynomial:
             return max(sum(e) for e, _ in self.terms)
         i = self.vars.index(var)
         return max(e[i] for e, _ in self.terms)
-
-    def weighted_degree(self):
-        if self.weights is None:
-            raise ValueError("no weights attached")
-        if not self.terms:
-            return -1
-        return max(sum(x * w for x, w in zip(e, self.weights)) for e, _ in self.terms)
 
     def is_weighted_homogeneous(self, d=None):
         if self.weights is None:
@@ -381,26 +374,6 @@ def squarefree_part(f, var):
 
 
 # -- binary forms ----------------------------------------------------------------
-
-
-def content_free_over_q(f):
-    """Scale a rational-coefficient polynomial to coprime integers, leading
-    (lex) coefficient positive."""
-    if f.field != QQ or not f.terms:
-        raise ValueError("expects a nonzero polynomial over QQ")
-    from math import gcd, lcm
-
-    den = 1
-    for _, c in f.terms:
-        den = lcm(den, c.denominator)
-    nums = [int(c * den) for _, c in f.terms]
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    scale = Fraction(den, g)
-    if f.leading_coefficient() < 0:
-        scale = -scale
-    return f * scale
 
 
 def binary_squarefree(f, u, v):

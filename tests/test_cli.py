@@ -90,6 +90,37 @@ def test_table1_count(capsys):
     assert "2[2^4]+[2,4]" in types
 
 
+@pytest.mark.parametrize(
+    "flag, text", [("--n", "3..1"), ("--m", "5..2"), ("--n", "0..x"), ("--m", "1.5")]
+)
+def test_table1_rejects_inverted_or_malformed_ranges(capsys, flag, text):
+    code, out, err = run(capsys, "table1", flag, text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} {text!r}: ")
+
+
+def test_det_of_a_long_chain(capsys):
+    # a chain of k (-2)-curves is A_k, with determinant k + 1
+    data = run_json(capsys, "det", "[2^160]")
+    assert data["determinant"] == 161
+
+
+def test_report_on_a_large_star_solves_m_e_equals_minus_kappa(capsys):
+    from ldp.graphs import intersection_matrix, parse_graph
+    from ldp.linalg import solve
+
+    notation = "[3;[2^40],[2^40],[2^40]]"
+    data = run_json(capsys, "report", notation)
+    (comp,) = data["discrepancies"]
+    assert comp["component"] == notation
+    # e is listed in the vertex order of the parsed graph
+    g = parse_graph(notation)
+    kappa = [w - 2 for _, w in g.vertices]
+    expected = solve(intersection_matrix(g), [-k for k in kappa])
+    assert [Fraction(x) for x in comp["e"]] == expected
+
+
 def test_pencil_char_five(capsys):
     data = run_json(capsys, "pencil", "--char", "5")
     assert data["quadratic_factor_has_double_root"] is True
