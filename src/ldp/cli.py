@@ -6,7 +6,7 @@ are serialized as "p/q" strings, never as decimals.
 """
 
 import argparse
-import itertools
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -97,43 +97,47 @@ def cmd_lct(args):
     )
 
 
+# lemma42 sweeps C(max_a + n, n) - 1 incidence vectors on n vertices
+MAX_SWEEP_VECTORS = 100_000
+
+
+def _sweep_size(n, max_a):
+    """C(max_a + n, n) - 1, or None once it passes 10**18."""
+    small, large = sorted((n, max_a))
+    count = 1
+    for k in range(1, small + 1):
+        count = count * (large + k) // k  # C(large + k, k), exactly
+        if count > 10**18:
+            return None
+    return count - 1
+
+
 def cmd_lemma42(args):
+    if args.max_a < 1:
+        raise ValueError(f"--max-a {args.max_a}: must be at least 1")
     t = graphs.parse_dynkin(args.notation)
     comps = t.sorted_components()
     if len(comps) != 1:
         raise DynkinSyntaxError("the incidence sweep expects a single connected graph", 0)
     g = comps[0]
     n = len(g.vertices)
+    count = _sweep_size(n, args.max_a)
+    if count is None or count > MAX_SWEEP_VECTORS:
+        shown = "more than 10^18" if count is None else count
+        raise ValueError(
+            f"--max-a {args.max_a} on {n} vertices gives {shown} incidence vectors, "
+            f"above the bound of {MAX_SWEEP_VECTORS}"
+        )
     rows = []
     agree = True
-
-    def vectors(total_max):
-        for total in range(1, total_max + 1):
-            for cuts in itertools.combinations(range(total + n - 1), n - 1):
-                prev = -1
-                vec = []
-                for c in cuts + (total + n - 1,):
-                    vec.append(c - prev - 1)
-                    prev = c
-                yield tuple(vec)
-
-    for a in vectors(args.max_a):
-        data = discrepancy.pair_coefficients(g, a)
-        row = {"incidence": list(a), "pairing": _frac(data.pairing)}
-        if data.pairing <= 2:
-            try:
-                cls = discrepancy.classify_incidence(g, a)
+    delta = graphs.graph_determinant(g)
+    for a, _, scaled, cls, _, mismatches in discrepancy.incidence_sweep(g, args.max_a):
+        row = {"incidence": list(a), "pairing": _frac(Fraction(scaled, delta))}
+        if cls is not None:
+            if cls.case is not None:
                 row["case"] = cls.case
-                row["verdicts"] = list(cls.verdicts)
-            except discrepancy.UnsupportedConfigurationError:
-                row["verdicts"] = ["Unsupported"]
-        support = [i for i, x in enumerate(a) if x]
-        for v in support:
-            try:
-                fd = discrepancy.closed_form_f(g, a, v)
-            except discrepancy.UnsupportedConfigurationError:
-                continue
-            agree = agree and fd == data.f[v]
+            row["verdicts"] = list(cls.verdicts)
+        agree = agree and not mismatches
         rows.append(row)
     _emit(
         {
@@ -169,10 +173,33 @@ def _parse_range(flag, text):
     return bounds
 
 
+def _parse_l(text):
+    """None for 'all', else the set of comma-separated integers, each within
+    the union of the Table 1 families' l ranges."""
+    if text == "all":
+        return None
+    try:
+        values = {int(x) for x in text.split(",")}
+    except ValueError:
+        raise ValueError(f"--l {text!r}: expected 'all' or comma-separated integers") from None
+    allowed = {
+        v
+        for bounds, _ in graphs.TABLE1_FAMILIES.values()
+        if "l" in bounds
+        for v in range(bounds["l"][0], bounds["l"][1] + 1)
+    }
+    if not values <= allowed:
+        raise ValueError(
+            f"--l {text!r}: every value must lie in {min(allowed)}..{max(allowed)}, "
+            "the l values of the Table 1 families"
+        )
+    return values
+
+
 def cmd_table1(args):
     n_range = _parse_range("--n", args.n)
     m_range = _parse_range("--m", args.m)
-    l_values = None if args.l == "all" else {int(x) for x in args.l.split(",")}
+    l_values = _parse_l(args.l)
     seen = set()
     out = []
     for inst, t in graphs.table1_enumerate(n_range, m_range, l_values):
@@ -265,7 +292,9 @@ def cmd_verify_paper(args):
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="ldp",
         description="Exact computations on resolution dual graphs, blowup "
@@ -275,60 +304,51 @@ def build_parser():
 
     p = sub.add_parser("parse", help="parse bracket notation into components")
     p.add_argument("notation")
-    p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("det", help="intersection-matrix determinants")
     p.add_argument("notation")
-    p.set_defaults(fn=cmd_det)
 
     p = sub.add_parser("report", help="full feasibility report for a configuration")
     p.add_argument("notation")
-    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("lct", help="log canonical threshold bound for a curve incidence")
     p.add_argument("notation")
     p.add_argument("--incidence", required=True, help="comma-separated multiplicities")
-    p.set_defaults(fn=cmd_lct)
 
     p = sub.add_parser(
         "lemma42", help="sweep incidence vectors: classifications and closed-form check"
     )
     p.add_argument("notation")
     p.add_argument("--max-a", type=int, default=4)
-    p.set_defaults(fn=cmd_lemma42)
 
     p = sub.add_parser("hunt", help="largest-discrepancy extraction target")
     p.add_argument("notation")
-    p.set_defaults(fn=cmd_hunt)
 
     p = sub.add_parser("table1", help="enumerate the tabulated configurations")
     p.add_argument("--n", default="0..2")
     p.add_argument("--m", default="1..2")
     p.add_argument("--l", default="all")
-    p.set_defaults(fn=cmd_table1)
 
     p = sub.add_parser("pencil", help="singular members of the cubic pencil")
     p.add_argument("--char", type=int, default=0, help="0 for the rationals")
-    p.set_defaults(fn=cmd_pencil)
 
-    p = sub.add_parser("crossratio", help="cross-ratio minimal polynomials")
-    p.set_defaults(fn=cmd_crossratio)
+    sub.add_parser("crossratio", help="cross-ratio minimal polynomials")
 
-    p = sub.add_parser("weighted-model", help="weighted-hypersurface member checks")
-    p.set_defaults(fn=cmd_weighted_model)
+    sub.add_parser("weighted-model", help="weighted-hypersurface member checks")
 
     p = sub.add_parser("verify-paper", help="recompute and compare every pinned value")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify_paper)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so that a
+    # rebound cmd_* function takes effect
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.fn(args)
+        code = fn(args)
     except DynkinSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,9 +5,8 @@ from the leaves to the root in linear time.  The remaining callers need a
 dense method on small matrices: `picard` takes the leading minors (`det`)
 and solves (`solve`) of the Gram matrix of the contracted classes of a
 blowup lattice (ten or fewer in the presets) and the Smith normal form of
-its lattices, and `discrepancy._delta_sub` takes the `int_det` of the
-principal submatrices in the closed-form displays.  Tests use `solve` and
-`int_det` as oracles for the tree kernel.
+its lattices.  Tests use `solve` and `int_det` as oracles for the tree
+kernel.
 """
 
 from fractions import Fraction

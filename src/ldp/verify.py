@@ -9,8 +9,6 @@ nonzero when any comparison fails.
 import itertools
 import json
 import random
-
-import numpy
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -213,19 +211,6 @@ def _sweep_graphs(max_vertices=6, max_weight=5):
     return out
 
 
-def _vectors(n, total_max):
-    out = []
-    for total in range(1, total_max + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            prev = -1
-            vec = []
-            for c in cuts + (total + n - 1,):
-                vec.append(c - prev - 1)
-                prev = c
-            out.append(vec)
-    return numpy.array(out, dtype=numpy.int64)
-
-
 def _incidence_checks():
     gs = _sweep_graphs()
     closed_form_cases = 0
@@ -234,52 +219,28 @@ def _incidence_checks():
     admissible_failures = 0
     monotone_cases = 0
     monotone_violations = 0
-    vectors_by_n = {}
 
     for g in gs:
         n = len(g.vertices)
-        delta, adj, e, kappa = discrepancy._graph_data(g)
-        if n not in vectors_by_n:
-            vectors_by_n[n] = _vectors(n, 4)
-        V = vectors_by_n[n]
-        A = numpy.array(adj, dtype=numpy.int64)
-        adj_kappa = A @ numpy.array(kappa, dtype=numpy.int64)
-        AV = V @ A  # row i holds adj(-M) . a for the i-th vector
-        scaled = numpy.einsum("ij,ij->i", V, AV + adj_kappa)
-
-        # unit increments can only grow the pairing
-        small = V.sum(axis=1) <= 3
-        growth = 2 * AV[small] + numpy.diagonal(A) + adj_kappa
-        monotone_cases += growth.size
-        monotone_violations += int(numpy.count_nonzero(growth < 0))
-
-        for row in numpy.nonzero(scaled <= 2 * delta)[0]:
-            a = tuple(int(x) for x in V[row])
-            try:
-                cls = discrepancy.classify_incidence(g, a)
-                admissible.add((cls.case, cls.verdicts))
-            except discrepancy.UnsupportedConfigurationError:
-                admissible_failures += 1
-
-        # displays cover single-point incidence of any multiplicity and
-        # two-point incidence with multiplicity one at both points
-        pairs = []
-        for u in range(n):
-            for m in range(1, 5):
-                a = tuple(m if i == u else 0 for i in range(n))
-                pairs.append((a, (u,)))
-        for u, w in itertools.combinations(range(n), 2):
-            a = tuple(1 if i in (u, w) else 0 for i in range(n))
-            pairs.append((a, (u, w)))
-        for a, support in pairs:
-            for v in support:
-                f_display = discrepancy.closed_form_f(g, a, v)
-                # solver value from the cached adjugate: f = 1 - d - e
-                d_num = sum(adj[v][j] * a[j] for j in support)
-                f_solver = 1 - Fraction(d_num, delta) - e[v]
-                closed_form_cases += 1
-                if f_display != f_solver:
-                    closed_form_mismatches += 1
+        data = discrepancy._graph_data(g)
+        # a unit increment at j changes delta*<a, b> by 2 (adj.a)_j + base[j]
+        base = [data.adj[j][j] + data.adj_kappa[j] for j in range(n)]
+        for a, dd, _, cls, displays, mismatches in discrepancy.incidence_sweep(g, 4):
+            # unit increments can only grow the pairing
+            if sum(a) <= 3:
+                monotone_cases += n
+                growth = [2 * x + y for x, y in zip(dd, base)]
+                if min(growth) < 0:
+                    monotone_violations += sum(x < 0 for x in growth)
+            if cls is not None:
+                if cls.verdict == discrepancy.UNSUPPORTED:
+                    admissible_failures += 1
+                else:
+                    admissible.add((cls.case, cls.verdicts))
+            # displays cover single-point incidence of any multiplicity and
+            # two-point incidence with multiplicity one at both points
+            closed_form_cases += displays
+            closed_form_mismatches += mismatches
     return {
         "incidence-closed-form": {
             "cases": closed_form_cases,

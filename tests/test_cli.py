@@ -147,3 +147,55 @@ def test_weighted_model_checks(capsys):
         assert member["degree_ok"] is True
         assert member["cusp_support_ok"] is True
         assert member["smooth"] is True
+
+
+def test_parser_is_reused_without_leaking_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    narrow = run_json(capsys, "table1", "--n", "1..1", "--m", "1..1", "--l", "1")
+    default = run_json(capsys, "table1")
+    again = run_json(capsys, "table1", "--n", "0..2", "--m", "1..2", "--l", "all")
+    assert narrow["count"] < default["count"]
+    assert default == again
+    assert run_json(capsys, "lemma42", "[2,4]", "--max-a", "1")["max_a"] == 1
+    assert run_json(capsys, "lemma42", "[2,4]")["max_a"] == 4
+
+
+@pytest.mark.parametrize("text", ["9", "0", "1,5", "x", "1,,2", ""])
+def test_table1_rejects_l_values_outside_the_families(capsys, text):
+    code, out, err = run(capsys, "table1", "--l", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --l {text!r}: ")
+
+
+def test_table1_l_selects_the_families_with_that_l(capsys):
+    every = run_json(capsys, "table1", "--l", "1,2,3,4")
+    assert every == run_json(capsys, "table1")
+    only_4 = run_json(capsys, "table1", "--l", "4")
+    with_l = [i for i in only_4["instances"] if "l" in i["params"]]
+    # only families 14 and 15 allow l = 4
+    assert {i["family"] for i in with_l} == {14, 15}
+    assert all(i["params"]["l"] == 4 for i in with_l)
+
+
+@pytest.mark.parametrize("max_a", ["0", "-3"])
+def test_lemma42_rejects_max_a_below_one(capsys, max_a):
+    code, out, err = run(capsys, "lemma42", "[2,4]", "--max-a", max_a)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --max-a {max_a}: ")
+
+
+def test_lemma42_bounds_the_number_of_vectors(capsys):
+    # C(164, 160) - 1 vectors; refused before any of them is made
+    code, out, err = run(capsys, "lemma42", "[2^160]", "--max-a", "4")
+    assert code == 2
+    assert out == ""
+    assert "29051000" in err and str(cli.MAX_SWEEP_VECTORS) in err
+    code, _, err = run(capsys, "lemma42", "[2]", "--max-a", str(10**30))
+    assert code == 2
+    assert "more than 10^18" in err
+    # C(41, 36) - 1 = 749 397 is above the bound, C(40, 36) - 1 = 91 389 below
+    code, _, err = run(capsys, "lemma42", "[2^36]", "--max-a", "5")
+    assert code == 2 and "749397" in err
+    assert cli._sweep_size(36, 4) == 91389 <= cli.MAX_SWEEP_VECTORS

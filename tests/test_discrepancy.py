@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldp import discrepancy as D
-from ldp.graphs import chain, parse_dynkin, parse_graph, star
+from ldp.graphs import WeightedDualGraph, chain, is_negative_definite, parse_dynkin, parse_graph, star
 
 weights = st.integers(min_value=2, max_value=7)
 
@@ -163,3 +165,79 @@ def test_not_negative_definite_rejected():
     bad = star(2, ((2, 2), (2, 2), (2, 2)))
     with pytest.raises(D.NotNegativeDefiniteError):
         D.discrepancies(bad)
+
+
+def _small_trees():
+    """Every chain and star of at most 5 vertices with weights 2..3 that is
+    negative definite, each also with its vertex list reversed."""
+    out = []
+    for n in range(1, 6):
+        for ws in itertools.product((2, 3), repeat=n):
+            out.append(chain(ws))
+    for lengths in ((1, 1, 1), (1, 1, 2)):
+        for ws in itertools.product((2, 3), repeat=1 + sum(lengths)):
+            cuts = (1, 1 + lengths[0], 1 + lengths[0] + lengths[1], len(ws))
+            out.append(star(ws[0], [ws[cuts[i] : cuts[i + 1]] for i in range(3)]))
+    out = [g for g in out if is_negative_definite(g)]
+    return out + [WeightedDualGraph(g.vertices[::-1], g.edges) for g in out]
+
+
+def _display_branch(g, a, v):
+    """Which of the nine displays covers (a, v), from the graph's own walks."""
+    ids = [x for x, _ in g.vertices]
+    support = [i for i, x in enumerate(a) if x]
+    if g.is_chain():
+        return "chain, one point" if len(support) == 1 else "chain, two points"
+    center, branches = g.star_parts()
+    c = ids.index(center)
+    place = {ids.index(x): (b, k) for b, br in enumerate(branches) for k, x in enumerate(br)}
+    if len(support) == 1:
+        return "star, center" if v == c else "star, one branch point"
+    if c in support:
+        return "center pair, at the center" if v == c else "center pair, at the branch point"
+    (bv, kv), (bo, ko) = place[v], place[sum(support) - v]
+    if bv != bo:
+        return "two branches"
+    return "one branch, outer point" if kv > ko else "one branch, inner point"
+
+
+def test_every_display_branch_agrees_with_the_solver_on_small_trees():
+    reached = Counter()
+    for g in _small_trees():
+        n = len(g.vertices)
+        delta = D._graph_data(g).delta
+        cases = [tuple(m if i == u else 0 for i in range(n)) for u in range(n) for m in (1, 2, 3)]
+        cases += [tuple(int(i in pair) for i in range(n)) for pair in itertools.combinations(range(n), 2)]
+        for a in cases:
+            f = D.pair_coefficients(g, a).f
+            for v in (i for i, x in enumerate(a) if x):
+                assert D.closed_form_scaled(g, a, v) == delta * f[v], (g, a, v)
+                assert D.closed_form_f(g, a, v) == f[v], (g, a, v)
+                reached[_display_branch(g, a, v)] += 1
+    assert len(reached) == 9, reached
+
+
+def test_closed_form_rejects_uncovered_supports():
+    with pytest.raises(D.UnsupportedConfigurationError):
+        D.closed_form_scaled(chain([2, 3, 4]), (1, 2, 0), 0)
+    with pytest.raises(D.UnsupportedConfigurationError):
+        D.closed_form_scaled(star(3, ((2,), (3,), (4,))), (0, 1, 1, 1), 1)
+
+
+def test_incidence_sweep_matches_the_exact_solver():
+    g = star(3, ((2, 2), (3,), (4,)))
+    delta = D._graph_data(g).delta
+    rows = list(D.incidence_sweep(g, 3))
+    assert len(rows) == 55  # C(3 + 5, 5) - 1 nonzero vectors
+    assert [sum(a) for a, *_ in rows] == sorted(sum(a) for a, *_ in rows)
+    for a, dd, scaled, cls, displays, mismatches in rows:
+        data = D.pair_coefficients(g, a)
+        assert [Fraction(x, delta) for x in dd] == list(data.d)
+        assert Fraction(scaled, delta) == data.pairing
+        support = [x for x in a if x]
+        assert displays == (len(support) if support in ([1], [2], [3], [1, 1]) else 0)
+        assert mismatches == 0
+        if data.pairing > 2:
+            assert cls is None
+        else:
+            assert cls == D.classify_incidence(g, a)

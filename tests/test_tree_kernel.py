@@ -62,7 +62,8 @@ def test_tree_kernel_matches_dense_linear_algebra(g):
             graph_determinant(g)
         return
     assert graph_determinant(g) == abs(linalg.int_det(m))
-    delta, adj, e, kappa = D._graph_data(g)
+    data = D._graph_data(g)
+    delta, adj, e, kappa = data.delta, data.adj, data.e, data.kappa
     assert delta == graph_determinant(g)
     for i in range(n):
         for j in range(n):
@@ -75,6 +76,7 @@ def test_tree_kernel_matches_dense_linear_algebra(g):
 # calls the code that must notice.  Under -O a plain assert would not fire.
 _BROKEN_INVARIANTS = """
 import json, sys
+from dataclasses import replace
 from fractions import Fraction
 from ldp import discrepancy as D, graphs as G
 from ldp.graphs import InvariantError, parse_graph
@@ -89,10 +91,13 @@ cases = {
     "delta positive": (D, "_pivot_determinant", lambda p: -7, lambda: D._graph_data(g)),
     "adjugate integral": (D, "_tree_solve", lambda el, b: [Fraction(1, 2)] * len(b),
                           lambda: D._graph_data(g)),
-    "e nonnegative": (D, "_graph_data", lambda g: data[:2] + ((-1, 0),) + data[3:],
+    "e nonnegative": (D, "_graph_data", lambda g: replace(data, e=(-1, 0)),
                       lambda: D.discrepancies(g)),
-    "d nonnegative": (D, "_graph_data", lambda g: (7, [[-1, 0], [0, -1]]) + data[2:],
+    "d nonnegative": (D, "_graph_data", lambda g: replace(data, delta=7, adj=[[-1, 0], [0, -1]]),
                       lambda: D.pair_coefficients(g, (1, 0))),
+    "sweep d nonnegative": (D, "_graph_data",
+                            lambda g: replace(data, delta=7, adj=[[-1, 0], [0, -1]]),
+                            lambda: list(D.incidence_sweep(g, 1))),
 }
 fired = {}
 for name, (module, attr, fake, call) in cases.items():
@@ -118,5 +123,5 @@ def test_invariant_checks_survive_python_o():
     )
     assert proc.returncode == 0, proc.stderr
     names = ["determinant integral", "delta positive", "adjugate integral",
-             "e nonnegative", "d nonnegative"]
+             "e nonnegative", "d nonnegative", "sweep d nonnegative"]
     assert json.loads(proc.stdout) == {"optimize": 1, "fired": dict.fromkeys(names, True)}
