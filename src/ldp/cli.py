@@ -75,13 +75,21 @@ def cmd_report(args):
     _emit(data)
 
 
+def _parse_incidence(text):
+    """The comma-separated integers of --incidence, as a tuple."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--incidence {text!r}: expected comma-separated integers") from None
+
+
 def cmd_lct(args):
     t = graphs.parse_dynkin(args.notation)
     comps = t.sorted_components()
     if len(comps) != 1:
         raise DynkinSyntaxError("lct expects a single connected graph", 0)
     g = comps[0]
-    a = tuple(int(x) for x in args.incidence.split(","))
+    a = _parse_incidence(args.incidence)
     value = discrepancy.lct_min_resolution(g, a)
     cls = discrepancy.classify_incidence(g, a)
     _emit(

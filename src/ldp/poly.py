@@ -296,11 +296,6 @@ def resultant(f, g, var):
 # -- univariate helpers ---------------------------------------------------------
 
 
-def _dense(f, var):
-    d = f.degree(var)
-    return [f.coefficient(var, k) for k in range(d + 1)]  # entries are constants
-
-
 def _univar_check(f, var):
     i = f.vars.index(var)
     for e, _ in f.terms:

@@ -74,6 +74,13 @@ def test_lct_reports_exactness(capsys):
     assert data["exact_on_minimal_resolution"] is True
 
 
+@pytest.mark.parametrize("text", ["x", "1,,2", ""])
+def test_lct_rejects_a_malformed_incidence(capsys, text):
+    code, _, err = run(capsys, "lct", "[3]", "--incidence", text)
+    assert code == 2
+    assert "--incidence" in err
+
+
 def test_lemma42_sweep_agrees_with_solver(capsys):
     data = run_json(capsys, "lemma42", "[2,4]", "--max-a", "3")
     assert data["rows"]

@@ -48,6 +48,15 @@ def test_locus_mod_p_is_reduction(p):
     assert pencil_singular_locus(F) == reduced
 
 
+def test_locus_is_computed_once_per_field():
+    # equal fields built apart share one entry
+    assert pencil_singular_locus(PrimeField(7)) is pencil_singular_locus(PrimeField(7))
+    # a rejected field is never cached as a success
+    for _ in range(2):
+        with pytest.raises(BadCharacteristicError):
+            pencil_singular_locus(PrimeField(3))
+
+
 def test_locus_char5_picks_up_the_double_root():
     F5 = PrimeField(5)
     s, t = Poly.gens(F5, ("s", "t"))

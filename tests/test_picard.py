@@ -1,9 +1,19 @@
+import json
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ldp import linalg
 from ldp import picard as P
-from ldp.graphs import dynkin_matrix
+from ldp.graphs import NotNegativeDefiniteError, dynkin_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SIX = ("L_ac", "L_bd", "F_a", "F_b", "F_c", "F_d")
 
@@ -178,3 +188,104 @@ def test_ray_trivial_coefficient(res3, res24):
 def test_class_json_roundtrip(base):
     cls = base.canonical + Fraction(1, 3) * base.unit("H")
     assert P.class_from_json(P.class_to_json(cls)) == cls
+
+
+# -- the shared pullback core against a dense solve ------------------------------
+
+
+def dense_pullback(lat, cls, names, rounding=None):
+    """cls plus the correction linalg.solve finds along the named curves."""
+    classes = [lat.curve(n) for n in names]
+    gram = [[x.dot(y) for y in classes] for x in classes]
+    corr = linalg.solve(gram, [-cls.dot(c) for c in classes])
+    out = cls
+    for c, curve in zip(corr, classes):
+        out = out + (rounding(c) if rounding else c) * curve
+    return out
+
+
+@pytest.mark.parametrize("preset", ["2A4", "[3]", "[2,4]"])
+def test_pullbacks_match_a_dense_solve(preset):
+    lat = P.preset_2A4() if preset == "2A4" else P.preset_resolution(preset)
+    rng = random.Random(preset)
+    names = sorted(lat.named_curves)
+    for _ in range(40):
+        cls = lat.zero()
+        for name in rng.sample(names, 3):
+            cls = cls + rng.randint(-3, 3) * lat.curve(name)
+        for name in rng.sample(lat.basis, 2):
+            cls = cls + rng.randint(-3, 3) * lat.unit(name)
+        # a random nonempty subset of the contracted curves, in random order
+        subset = rng.sample(lat.contracted, rng.randint(1, len(lat.contracted)))
+        curves = None if len(subset) == len(lat.contracted) else subset
+        expected = dense_pullback(lat, cls, curves or lat.contracted)
+        assert P.pullback_weil(lat, cls, curves) == expected
+        assert P.ceil_pullback(lat, cls, curves) == dense_pullback(
+            lat, cls, curves or lat.contracted, math.ceil
+        )
+
+
+def test_rebuilt_lattices_share_one_compiled_contraction():
+    a, b = P.preset_resolution("[2,4]"), P.preset_resolution("[2,4]")
+    assert a is not b
+    assert P._contraction(tuple(a.contracted_classes())) is P._contraction(
+        tuple(b.contracted_classes())
+    )
+
+
+def test_non_definite_curves_raise_on_every_call(base):
+    # L_ac and L_bd have Gram [[-1, 1], [1, -1]], of determinant 0
+    cls = base.unit("H")
+    for _ in range(2):  # a failed build must not be cached as a success
+        with pytest.raises(NotNegativeDefiniteError):
+            P.pullback_weil(base, cls, ["L_ac", "L_bd"])
+        with pytest.raises(NotNegativeDefiniteError):
+            P.ceil_pullback(base, cls, ["L_ac", "L_bd"])
+
+
+# Each case swaps one name for a fake that breaks an invariant, then calls the
+# code that must notice.  Under -O a plain assert would not fire.
+_BROKEN_INVARIANTS = """
+import json, math, sys
+from fractions import Fraction
+from types import SimpleNamespace
+from ldp import picard as P
+from ldp.graphs import InvariantError
+
+lat = P.preset_resolution("[2,4]")
+g2 = lat.curve("G_2")
+pb = P.pullback_weil(lat, g2)
+pullback = P._pullback
+cases = {
+    "gram matches the declared graph": (P, "dynkin_matrix", lambda t: [[-2]],
+                                        lambda: P.preset_2A4()),
+    # the rounded-up pullback of G_2 is not orthogonal to the contracted curves
+    "pullback orthogonal": (P, "_pullback", lambda *args: pullback(*args[:3], math.ceil),
+                            lambda: P.pullback_weil(lat, g2)),
+    "rounded class integral": (P, "math", SimpleNamespace(ceil=lambda x: x + Fraction(1, 2)),
+                               lambda: P.round_up(lat, pb, ["C_2", "G_1", "G_2"])),
+}
+fired = {}
+for name, (module, attr, fake, call) in cases.items():
+    original = getattr(module, attr)
+    setattr(module, attr, fake)
+    try:
+        call()
+        fired[name] = False
+    except InvariantError:
+        fired[name] = True
+    finally:
+        setattr(module, attr, original)
+print(json.dumps({"optimize": sys.flags.optimize, "fired": fired}))
+"""
+
+
+def test_invariant_checks_survive_python_o():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = ["gram matches the declared graph", "pullback orthogonal", "rounded class integral"]
+    assert json.loads(proc.stdout) == {"optimize": 1, "fired": dict.fromkeys(names, True)}
