@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Every subcommand prints JSON on stdout.  Exit codes: 0 on success, 1 when a
-verification check fails, 2 on usage or notation errors.  Rational numbers
-are serialized as "p/q" strings, never as decimals.
+verification check fails, 2 on usage or notation errors, and 141 (128 +
+SIGPIPE, as for a process killed by a closed pipe) when the reader of stdout
+goes away first.  Rational numbers are serialized as "p/q" strings, never as
+decimals.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -169,8 +172,14 @@ def cmd_hunt(args):
     )
 
 
+# table1's largest n or m: --n 0..100 --m 1..100 takes about 2.5 s, and
+# the time grows faster than quadratically in the upper bounds
+MAX_TABLE1_PARAM = 100
+
+
 def _parse_range(flag, text):
-    """'k' or 'lo..hi' with integer bounds and lo <= hi, as (lo, hi)."""
+    """'k' or 'lo..hi' with integer bounds and lo <= hi <= MAX_TABLE1_PARAM,
+    as (lo, hi)."""
     lo, sep, hi = text.partition("..")
     try:
         bounds = (int(lo), int(hi if sep else lo))
@@ -178,6 +187,8 @@ def _parse_range(flag, text):
         raise ValueError(f"{flag} {text!r}: expected an integer or a range lo..hi") from None
     if bounds[0] > bounds[1]:
         raise ValueError(f"{flag} {text!r}: empty range, lower bound above upper bound")
+    if bounds[1] > MAX_TABLE1_PARAM:
+        raise ValueError(f"{flag} {text!r}: upper bound above {MAX_TABLE1_PARAM}")
     return bounds
 
 
@@ -357,6 +368,12 @@ def main(argv=None):
     fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         code = fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`ldp table1 ... | head`); as the Python docs
+        # advise, point stdout at devnull so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DynkinSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

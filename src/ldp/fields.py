@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graphs import InvariantError
+
 
 def is_prime(n):
     if n < 2:
@@ -217,7 +219,8 @@ class QuadElement:
 
     def norm(self):
         n = self * self.conjugate()
-        assert not n.v
+        if n.v:
+            raise InvariantError(f"norm of {self!r} is not in the base field")
         return n.u
 
     def __truediv__(self, other):

@@ -1,7 +1,14 @@
 """The cubic pencil s(Y^2-Z^2)(X+Y) + t(X^2-Z^2)(Y-X), its singular members,
 the cross-ratio arithmetic of its four degenerate parameters, and the
 characteristic-5 weighted hypersurface y^2 = x^3 + 2t^4 x + 4s^5 t + 2t^6
-with its anticanonical members."""
+with its anticanonical members.
+
+Every singularity question here asks for the common zeros of a polynomial
+system, one affine chart at a time, and goes through one elimination core:
+`_eliminate` drops variables by pairwise resultants, and `_common_factor`
+folds a gcd over the eliminants.  The singular locus, the singular point of
+a member and the smoothness of the weighted members are all built on it.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +16,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .fields import QQ, PrimeField, QuadraticExtension, QuadElement
+from .graphs import InvariantError
 from .poly import (
     ExactPolynomial as Poly,
+    binary_gcd,
     binary_squarefree,
+    poly_divmod,
     poly_gcd,
     resultant,
     squarefree_part,
@@ -38,11 +47,73 @@ class MultipleSingularPointsError(ValueError):
     pass
 
 
+class ResidualDegreeError(ValueError):
+    """Candidate values with a factor of degree > 2 that has no root in F_p."""
+
+
 def _check_char(field, banned):
     if field.characteristic in banned:
         raise BadCharacteristicError(
             f"characteristic {field.characteristic} is not supported here"
         )
+
+
+# -- the elimination core ---------------------------------------------------------
+
+# disjoint affine charts covering P^2: the fixed coordinates, then the free ones
+_CHARTS = (
+    ({"Z": 1}, ("X", "Y")),
+    ({"Z": 0, "Y": 1}, ("X",)),
+    ({"Z": 0, "Y": 0, "X": 1}, ()),
+)
+
+
+def _eliminate(eqs, names):
+    """Eliminate the variables in names one after another: the equations
+    free of the variable pass through, the others give way to their nonzero
+    pairwise resultants in it."""
+    for v in names:
+        with_v = [g for g in eqs if g.degree(v) > 0]
+        eqs = [g for g in eqs if g.degree(v) == 0] + [
+            r
+            for a, b in itertools.combinations(with_v, 2)
+            if not (r := resultant(a, b, v)).is_zero()
+        ]
+    return eqs
+
+
+def _common_factor(eqs, gcd):
+    """gcd folded over the nonzero equations, stopping at the first constant;
+    None when every equation is zero."""
+    common = None
+    for g in eqs:
+        if g:
+            common = g if common is None else gcd(common, g)
+            if common.degree() == 0:
+                break
+    return common
+
+
+def _find_points(eqs, names):
+    """Common zeros of the system in the affine space on names.  The last
+    coordinate is pinned first, by the gcd of the eliminants of the others;
+    a second candidate or a positive-dimensional set raises."""
+    if not names:
+        return [] if any(eqs) else [()]
+    *rest, v = names
+    g = _common_factor(_eliminate(eqs, rest), functools.partial(poly_gcd, var=v))
+    if g is None:
+        raise MultipleSingularPointsError("a positive-dimensional set of singular points")
+    if g.degree() == 0:
+        return []
+    g = squarefree_part(g, v)
+    if g.degree(v) > 1:
+        raise MultipleSingularPointsError(f"{g.degree(v)} candidate singular values of {v}")
+    v0 = -g.coefficient(v, 0).evaluate({})  # g is monic and linear
+    return [p + (v0,) for p in _find_points([e.substitute({v: v0}) for e in eqs], rest)]
+
+
+# -- the singular locus -------------------------------------------------------------
 
 
 def pencil_cubic(field):
@@ -55,7 +126,8 @@ def _project_st(f):
     """Rewrite a polynomial involving only s,t into the 2-variable ring."""
     out = {}
     for e, c in f.terms:
-        assert not any(e[2:])
+        if any(e[2:]):
+            raise InvariantError(f"{f!r} involves more than s and t")
         out[e[:2]] = c
     return Poly.make(f.field, ("s", "t"), out)
 
@@ -75,69 +147,15 @@ def pencil_singular_locus(field):
 @functools.lru_cache(maxsize=32)
 def _singular_locus(field):
     _check_char(field, (2, 3))
-    C = pencil_cubic(field)
-    partials = [C.derivative(v) for v in ("X", "Y", "Z")]
-    one = Poly.constant(field, PENCIL_VARS, 1)
-    zero = Poly.zero(field, PENCIL_VARS)
-    charts = [
-        ({"Z": one}, ("X", "Y")),
-        ({"Z": zero, "Y": one}, ("X",)),
-        ({"Z": zero, "Y": zero, "X": one}, ()),
-    ]
-    total = one
-    for sub, free in charts:
-        eqs = [g.substitute(sub) for g in partials]
-        eqs = [g for g in eqs if not g.is_zero()]
-        for v in free:
-            with_v = [g for g in eqs if g.degree(v) > 0]
-            without = [g for g in eqs if g.degree(v) == 0]
-            eqs = without + [
-                r
-                for a, b in itertools.combinations(with_v, 2)
-                if not (r := resultant(a, b, v)).is_zero()
-            ]
-        locus = None
-        for g in eqs:
-            locus = g if locus is None else _binary_gcd(locus, g)
-        if locus is not None and locus.degree() > 0:
+    partials = [pencil_cubic(field).derivative(v) for v in ("X", "Y", "Z")]
+    gcd = functools.partial(binary_gcd, u="s", v="t")
+    total = Poly.constant(field, PENCIL_VARS, 1)
+    for fixed, free in _CHARTS:
+        eliminants = _eliminate([g.substitute(fixed) for g in partials], free)
+        locus = _common_factor(eliminants, gcd)
+        if locus is not None:
             total = total * locus
     return _project_st(binary_squarefree(total, "s", "t"))
-
-
-def _binary_gcd(f, g):
-    """gcd of binary forms in (s, t): the common s- and t-powers times the
-    univariate gcd of the dehomogenizations at t = 1."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    i_s = f.vars.index("s")
-    i_t = f.vars.index("t")
-
-    def split(h):
-        smin = min(e[i_s] for e, _ in h.terms)
-        tmin = min(e[i_t] for e, _ in h.terms)
-        core = {}
-        for e, c in h.terms:
-            ee = list(e)
-            ee[i_s] -= smin
-            ee[i_t] = 0
-            core[tuple(ee)] = c
-        return smin, tmin, Poly.make(h.field, h.vars, core, h.weights)
-
-    s1, t1, c1 = split(f)
-    s2, t2, c2 = split(g)
-    core = poly_gcd(c1, c2, "s")
-    d = core.degree("s")
-    out = {}
-    for e, c in core.terms:
-        ee = list(e)
-        ee[i_t] = d - e[i_s]
-        out[tuple(ee)] = c
-    h = Poly.make(f.field, f.vars, out, f.weights)
-    S = Poly.variable(f.field, f.vars, "s", f.weights)
-    T = Poly.variable(f.field, f.vars, "t", f.weights)
-    return h * S ** min(s1, s2) * T ** min(t1, t2)
 
 
 def quadratic_factor_double_root(field):
@@ -168,51 +186,6 @@ def _as_field_pair(field, param):
     return work, work.coerce(sv), work.coerce(tv)
 
 
-def _find_points(eqs, names, work):
-    """Common zeros of the system in the affine plane with the given two
-    coordinates, located through resultant gcds; degree-1 gcds pin the
-    coordinates, higher degrees get reported as multiple points."""
-    u, v = names
-    with_u = [g for g in eqs if g.degree(u) > 0]
-    flat = [g for g in eqs if g.degree(u) == 0]
-    elim = flat + [
-        r
-        for a, b in itertools.combinations(with_u, 2)
-        if not (r := resultant(a, b, u)).is_zero()
-    ]
-    gv = None
-    for g in elim:
-        gv = g if gv is None else poly_gcd(gv, g, v)
-        if gv.degree(v) == 0 and not gv.is_zero():
-            return []
-    if gv is None or gv.is_zero():
-        raise MultipleSingularPointsError("positive-dimensional singular locus")
-    gv = squarefree_part(gv, v)
-    if gv.degree(v) > 1:
-        raise MultipleSingularPointsError(
-            f"{gv.degree(v)} candidate singular values of {v}"
-        )
-    # one candidate value of v; pin u the same way
-    v0 = -gv.coefficient(v, 0).evaluate({}) / gv.coefficient(v, 1).evaluate({})
-    subbed = [g.substitute({v: Poly.constant(g.field, g.vars, v0)}) for g in eqs]
-    gu = None
-    for g in subbed:
-        if g.is_zero():
-            continue
-        gu = g if gu is None else poly_gcd(gu, g, u)
-    if gu is None:
-        raise MultipleSingularPointsError(f"a whole line of singular points at {v}={v0}")
-    if gu.degree(u) == 0:
-        return []
-    gu = squarefree_part(gu, u)
-    if gu.degree(u) > 1:
-        raise MultipleSingularPointsError(
-            f"{gu.degree(u)} singular points share {v}={v0}"
-        )
-    u0 = -gu.coefficient(u, 0).evaluate({}) / gu.coefficient(u, 1).evaluate({})
-    return [(u0, v0)]
-
-
 def classify_singular_member(field, param):
     """Locate the singular point of the member at param=[s:t] and decide
     node versus cusp by the rank of the local quadratic part."""
@@ -227,40 +200,13 @@ def classify_singular_member(field, param):
     if value:
         raise NotSingularMemberError(f"member [{sv}:{tv}] is smooth")
 
-    C = pencil_cubic(work)
-    member = C.substitute(
-        {"s": Poly.constant(work, PENCIL_VARS, sv), "t": Poly.constant(work, PENCIL_VARS, tv)}
-    )
+    member = pencil_cubic(work).substitute({"s": sv, "t": tv})
     partials = [member.derivative(v) for v in ("X", "Y", "Z")]
-    one = Poly.constant(work, PENCIL_VARS, 1)
-    zero = Poly.zero(work, PENCIL_VARS)
     points = []
-    # disjoint charts Z != 0, then Z = 0 with Y != 0, then [1:0:0]
-    sub = {"Z": one}
-    eqs = [g.substitute(sub) for g in partials if not g.substitute(sub).is_zero()]
-    for x0, y0 in _find_points(eqs, ("X", "Y"), work):
-        points.append((x0, y0, work.one))
-    sub = {"Z": zero, "Y": one}
-    eqs = [g.substitute(sub) for g in partials]
-    eqs = [g for g in eqs if not g.is_zero()]
-    if eqs:
-        with_x = [g for g in eqs if g.degree("X") > 0]
-        gx = None
-        for g in with_x:
-            gx = g if gx is None else poly_gcd(gx, g, "X")
-        consts = [g for g in eqs if g.degree("X") == 0]
-        if not any(consts) and gx is not None and gx.degree("X") > 0:
-            gx = squarefree_part(gx, "X")
-            if gx.degree("X") > 1:
-                raise MultipleSingularPointsError("several singular points at infinity")
-            x0 = -gx.coefficient("X", 0).evaluate({}) / gx.coefficient("X", 1).evaluate({})
-            points.append((x0, work.one, work.zero))
-    if all(
-        not g.substitute({"X": one, "Y": zero, "Z": zero}).evaluate({})
-        for g in partials
-    ):
-        points.append((work.one, work.zero, work.zero))
-
+    for fixed, free in _CHARTS:
+        for zero in _find_points([g.substitute(fixed) for g in partials], free):
+            coords = dict(fixed, **dict(zip(free, zero)))
+            points.append(tuple(work.coerce(coords[v]) for v in ("X", "Y", "Z")))
     if not points:
         raise NotSingularMemberError("no singular point found (unexpected)")
     if len(points) > 1:
@@ -297,7 +243,8 @@ def _node_or_cusp(member, point, work):
     quad = {}
     for e, c in local.terms:
         d = e[iu] + e[iv]
-        assert d >= 2, "not a singular point"
+        if d < 2:
+            raise InvariantError(f"{point} is not a singular point of the member")
         if d == 2:
             quad[(e[iu], e[iv])] = c
     A = quad.get((2, 0), work.zero)
@@ -437,7 +384,6 @@ def weighted_member_check(i):
     D = weighted_member(i)
     field = F.field
     zero = Poly.zero(field, WEIGHTED_VARS, WEIGHTS)
-    one = Poly.constant(field, WEIGHTED_VARS, 1, WEIGHTS)
 
     degree_ok = (
         D.is_weighted_homogeneous(i)
@@ -461,9 +407,7 @@ def weighted_member_check(i):
     if i == 2:
         # x = t(s + 2t) turns the curve into a double cover y^2 = h(s, t)
         sub = {"x": weighted_member(2).substitute({"x": zero}) * (-1)}
-        g = F.substitute(sub)
-        h = -(g - Poly.variable(field, WEIGHTED_VARS, "y", WEIGHTS) ** 2)
-        assert g == Poly.variable(field, WEIGHTED_VARS, "y", WEIGHTS) ** 2 - h
+        h = Poly.variable(field, WEIGHTED_VARS, "y", WEIGHTS) ** 2 - F.substitute(sub)
         smooth = _binary_form_squarefree(h, "s", "t")
     else:
         # y = t(x + t^2 + st + 3s^2) turns the curve into a plane sextic in
@@ -471,7 +415,8 @@ def weighted_member_check(i):
         # relation makes the vanishing of all three partials the whole test
         ysub = Poly.variable(field, WEIGHTED_VARS, "y", WEIGHTS) - weighted_member(3)
         G = F.substitute({"y": ysub})
-        assert G.degree("y") == 0
+        if G.degree("y") > 0:
+            raise InvariantError("the degree-3 member does not eliminate y")
         smooth = _plane_sextic_smooth(G)
     return WeightedMemberReport(i, degree_ok, cusp_support_ok, smooth)
 
@@ -479,112 +424,53 @@ def weighted_member_check(i):
 def _affine_chart_smooth(G, unit_var, coord):
     """No common zero of the chart restrictions of G and its partials, with
     the remaining weight-1 variable and coord as affine coordinates."""
-    field = G.field
-    one = Poly.constant(field, WEIGHTED_VARS, 1, WEIGHTS)
     eqs = [
-        p.substitute({unit_var: one})
+        p.substitute({unit_var: 1})
         for p in (G, G.derivative("s"), G.derivative("t"), G.derivative(coord))
     ]
-    eqs = [e for e in eqs if not e.is_zero()]
     free = "t" if unit_var == "s" else "s"
-    with_c = [e for e in eqs if e.degree(coord) > 0]
-    flat = [e for e in eqs if e.degree(coord) == 0]
-    elim = flat + [
-        r
-        for a, b in itertools.combinations(with_c, 2)
-        if not (r := resultant(a, b, coord)).is_zero()
-    ]
-    g = None
-    for e in elim:
-        g = e if g is None else poly_gcd(g, e, free)
-        if not g.is_zero() and g.degree(free) == 0:
-            return True
-    if g is None or g.is_zero():
+    g = _common_factor(_eliminate(eqs, (coord,)), functools.partial(poly_gcd, var=free))
+    if g is None:
         return False
-    # candidate values survive the resultant screen; confirm none is an
-    # actual common zero (the screen is only necessary, not sufficient)
-    g = squarefree_part(g, free)
-    for root in _roots_in_prime_field(g, free):
-        sub = {free: Poly.constant(field, WEIGHTED_VARS, root, WEIGHTS)}
-        fibre = None
-        for e in eqs:
-            ev = e.substitute(sub)
-            if ev.is_zero():
-                continue
-            fibre = ev if fibre is None else poly_gcd(fibre, ev, coord)
-        if fibre is None or fibre.degree(coord) > 0:
+    # the values of free that survive the resultant screen are only
+    # candidates: each one is refuted on its fibre, over the field holding it
+    for K, value in _candidate_values(g, free):
+        fibre = [e.map_field(K).substitute({free: value}) for e in eqs]
+        common = _common_factor(fibre, functools.partial(poly_gcd, var=coord))
+        if common is None or common.degree() > 0:
             return False
-        if not fibre:
-            return False
-    # roots outside the prime field: the gcd screen alone is inconclusive,
-    # but a nontrivial common factor of all eliminants would have shown up
-    # as a positive-degree fibre gcd above for its rational specializations;
-    # fall back to pairing each candidate factor against the full system
-    deg = g.degree(free)
-    if deg > len(list(_roots_in_prime_field(g, free))):
-        return _confirm_no_extension_zero(eqs, g, free, coord)
     return True
 
 
-def _roots_in_prime_field(g, var):
-    p = g.field.characteristic
-    for r in range(p):
-        c = g.field.coerce(r)
-        val = g.field.zero
-        i = g.vars.index(var)
-        for e, coeff in g.terms:
-            val = val + coeff * c ** e[i]
-        if not val:
-            yield c
-
-
-def _confirm_no_extension_zero(eqs, g, free, coord):
-    """Screen the candidate parameter values lying in a quadratic extension
-    of F_p: after stripping prime-field roots, a degree-2 residual factor of
-    g is adjoined as a field generator and the system's gcd in coord is
-    recomputed there.  Higher residual degrees do not occur for the curves
-    modeled here."""
-    dense = [g.coefficient(free, k).evaluate({}) for k in range(g.degree(free) + 1)]
-    for r in _roots_in_prime_field(g, free):
-        out = []
-        carry = g.field.zero
-        for c in reversed(dense):
-            carry = c + carry * r
-            out.append(carry)
-        dense = list(reversed(out[:-1]))
-    if len(dense) == 1:
-        return True
-    if len(dense) != 3:
-        raise NotImplementedError("residual candidate factor of degree > 2")
-    c2, c1, c0 = dense[2], dense[1], dense[0]
-    K = QuadraticExtension(g.field, (c1 / c2).val, (c0 / c2).val)
-    root = K.generator
-    ifree = g.vars.index(free)
-    icoord = g.vars.index(coord)
-    common = None
-    for e in eqs:
-        acc = {}
-        for exp, c in e.terms:
-            val = K.coerce(c.val) * root ** exp[ifree]
-            key = (0,) * icoord + (exp[icoord],) + (0,) * (len(g.vars) - icoord - 1)
-            acc[key] = acc.get(key, K.zero) + val
-        lifted = Poly.make(K, g.vars, acc, g.weights)
-        if lifted.is_zero():
-            continue
-        common = lifted if common is None else poly_gcd(common, lifted, coord)
-        if common.degree(coord) == 0:
-            return True
-    return common is not None and common.degree(coord) == 0
+def _candidate_values(g, var):
+    """The roots of g in F_p and then, for a residual factor of degree 2,
+    its root in the quadratic extension it defines, as (field, root) pairs.
+    Higher residual degrees do not occur for the curves modeled here."""
+    field = g.field
+    residual = squarefree_part(g, var)
+    x = Poly.variable(field, g.vars, var, g.weights)
+    for r in range(field.characteristic):
+        q, rem = poly_divmod(residual, x - r, var)
+        if not rem:
+            residual = q
+            yield field, field.coerce(r)
+    d = residual.degree(var)
+    if d == 2:
+        # residual is monic: var^2 + c1 var + c0
+        c1, c0 = (residual.coefficient(var, k).evaluate({}) for k in (1, 0))
+        K = QuadraticExtension(field, c1, c0)
+        yield K, K.generator
+    elif d > 2:
+        raise ResidualDegreeError(
+            f"candidate values of {var} leave a factor of degree {d} without roots "
+            f"in {field}; only degree 2 is handled"
+        )
 
 
 def _plane_sextic_smooth(G):
-    field = G.field
     # charts s != 0 and t != 0 cover everything except [0:0:1]
-    if not _affine_chart_smooth(G, "s", "x"):
-        return False
-    if not _affine_chart_smooth(G, "t", "x"):
-        return False
-    zero = Poly.zero(field, WEIGHTED_VARS, WEIGHTS)
-    one = Poly.constant(field, WEIGHTED_VARS, 1, WEIGHTS)
-    at_point = G.substitute({"s": zero, "t": zero, "x": one})
-    return bool(at_point)
+    return (
+        _affine_chart_smooth(G, "s", "x")
+        and _affine_chart_smooth(G, "t", "x")
+        and bool(G.substitute({"s": 0, "t": 0, "x": 1}))
+    )

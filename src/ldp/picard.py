@@ -117,7 +117,7 @@ class BlowupLattice:
         return DivisorClass.make(self.basis, [0] * len(self.basis))
 
     def contracted_classes(self, names=None):
-        return [self.named_curves[n] for n in (names or self.contracted)]
+        return [self.named_curves[n] for n in (self.contracted if names is None else names)]
 
 
 def _check_contracted(lat):

@@ -3,7 +3,8 @@
 Terms map exponent tuples to nonzero field elements.  Enough machinery for
 the curve computations here: arithmetic, substitution, derivatives,
 resultants by Sylvester determinant, univariate gcd and squarefree parts
-(with the Frobenius splitting needed in characteristic p), and an optional
+(with the Frobenius splitting needed in characteristic p), the same two for
+binary forms through one dehomogenize/rehomogenize pair, and an optional
 weighting of the variables for weighted-homogeneity checks.
 """
 
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .fields import FpElement, PrimeField
+from .fields import FpElement
+from .graphs import InvariantError
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,8 @@ def _pth_root(f, var):
     i = f.vars.index(var)
     out = {}
     for e, c in f.terms:
-        assert e[i] % p == 0
+        if e[i] % p:
+            raise InvariantError(f"{f!r} is not a polynomial in {var}^{p}")
         out[e[:i] + (e[i] // p,) + e[i + 1 :]] = c
     return ExactPolynomial.make(f.field, f.vars, out, f.weights)
 
@@ -356,7 +359,8 @@ def squarefree_part(f, var):
     p = f.field.characteristic
     if df.is_zero():
         # f = h(var^p); its radical equals the radical of h
-        assert p > 0
+        if not p:
+            raise InvariantError(f"nonconstant {f!r} has zero derivative in characteristic 0")
         return squarefree_part(_pth_root(f, var), var)
     g = poly_gcd(f, df, var)
     red = poly_divmod(f, g, var)[0]
@@ -371,38 +375,52 @@ def squarefree_part(f, var):
 # -- binary forms ----------------------------------------------------------------
 
 
-def binary_squarefree(f, u, v):
-    """Squarefree part of a binary form in variables (u, v): strips repeated
-    v-power, dehomogenizes, takes the univariate radical, rehomogenizes."""
-    if f.is_zero():
-        raise ValueError("zero form")
+def _dehomogenize(f, u, v):
+    """Split a binary form f in (u, v) as u^i v^k times a form prime to uv;
+    returns that form at v = 1 (kept in the same ring), i and k."""
     iu, iv = f.vars.index(u), f.vars.index(v)
     deg = f.degree()
-    assert all(e[iu] + e[iv] == deg and sum(e) == deg for e, _ in f.terms)
-    vmin = min(e[iv] for e, _ in f.terms)
-    umin = min(e[iu] for e, _ in f.terms)
+    if any(e[iu] + e[iv] != deg or sum(e) != deg for e, _ in f.terms):
+        raise InvariantError(f"{f!r} is not a binary form in {u}, {v}")
+    i = min(e[iu] for e, _ in f.terms)
+    k = min(e[iv] for e, _ in f.terms)
     core = {}
     for e, c in f.terms:
         ee = list(e)
-        ee[iu] -= umin
+        ee[iu] -= i
         ee[iv] = 0
         core[tuple(ee)] = c
-    dehom = ExactPolynomial.make(f.field, f.vars, core, f.weights)
-    rad = squarefree_part(dehom, u)
-    d = rad.degree(u)
+    return ExactPolynomial.make(f.field, f.vars, core, f.weights), i, k
+
+
+def _rehomogenize(h, u, v, i, k):
+    """u^i v^k times the binary form in (u, v) that is h at v = 1."""
+    iu, iv = h.vars.index(u), h.vars.index(v)
+    d = h.degree(u)
     out = {}
-    for e, c in rad.terms:
+    for e, c in h.terms:
         ee = list(e)
-        ee[iv] = d - e[iu]
+        ee[iu] += i
+        ee[iv] = d - e[iu] + k
         out[tuple(ee)] = c
-    rehom = ExactPolynomial.make(f.field, f.vars, out, f.weights)
-    xu = ExactPolynomial.variable(f.field, f.vars, u, f.weights)
-    xv = ExactPolynomial.variable(f.field, f.vars, v, f.weights)
-    if umin:
-        rehom = rehom * xu
-    if vmin:
-        rehom = rehom * xv
-    return rehom.monic()
+    return ExactPolynomial.make(h.field, h.vars, out, h.weights)
+
+
+def binary_squarefree(f, u, v):
+    """Squarefree part of a binary form in variables (u, v): the univariate
+    radical of the dehomogenization, rehomogenized with u and v each at most
+    once."""
+    if f.is_zero():
+        raise ValueError("zero form")
+    h, i, k = _dehomogenize(f, u, v)
+    return _rehomogenize(squarefree_part(h, u), u, v, min(i, 1), min(k, 1)).monic()
+
+
+def binary_gcd(f, g, u, v):
+    """gcd of nonzero binary forms in (u, v): the univariate gcd of the
+    dehomogenizations, rehomogenized with the common powers of u and v."""
+    (a, i1, k1), (b, i2, k2) = _dehomogenize(f, u, v), _dehomogenize(g, u, v)
+    return _rehomogenize(poly_gcd(a, b, u), u, v, min(i1, i2), min(k1, k2))
 
 
 # -- JSON --------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,37 @@ def test_table1_rejects_inverted_or_malformed_ranges(capsys, flag, text):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} {text!r}: ")
+
+
+@pytest.mark.parametrize(
+    "args", [("--n", "0..101"), ("--m", "1..101"), ("--n", "0..3000", "--m", "1..1")]
+)
+def test_table1_bounds_the_parameter_ranges(capsys, args):
+    code, out, err = run(capsys, "table1", *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {args[0]} {args[1]!r}: upper bound above 100")
+
+
+def test_table1_scaling_range_is_within_the_bound(capsys):
+    assert run_json(capsys, "table1", "--n", "0..30", "--m", "1..30")["count"] == 530
+
+
+def test_a_reader_that_closes_early_ends_the_run_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    # about 116 kB of JSON, more than a pipe holds, so the writer is still
+    # writing when the reader goes away after the first line, as under `| head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from ldp.cli import main; sys.exit(main())",
+         "table1", "--n", "0..60", "--m", "1..60"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
 
 
 def test_det_of_a_long_chain(capsys):

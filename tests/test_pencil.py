@@ -1,5 +1,6 @@
 """Tests for the cubic-pencil and weighted-model computations."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ldp import verify
+from ldp import pencil, verify
 from ldp.fields import QQ, PrimeField
 from ldp.pencil import (
     CUSP,
@@ -46,6 +47,39 @@ def test_locus_mod_p_is_reduction(p):
     F = PrimeField(p)
     reduced = pencil_singular_locus(QQ).map_field(F).monic()
     assert pencil_singular_locus(F) == reduced
+
+
+def _groebner_locus(modulus):
+    """The singular locus by lex Groebner elimination in sympy, chart by
+    chart (Z = 1; Z = 0, Y = 1; [1:0:0]), made reduced and monic."""
+    opts = {} if modulus is None else {"modulus": modulus}
+    s, t, X, Y, Z = sympy.symbols(PENCIL_VARS)
+    C = s * (Y**2 - Z**2) * (X + Y) + t * (X**2 - Z**2) * (Y - X)
+    total = sympy.Integer(1)
+    for fixed, free in (({Z: 1}, (X, Y)), ({Z: 0, Y: 1}, (X,)), ({Z: 0, Y: 0, X: 1}, ())):
+        eqs = [g for g in (sympy.expand(sympy.diff(C, v).subs(fixed)) for v in (X, Y, Z)) if g != 0]
+        basis = sympy.groebner(eqs, *free, s, t, order="lex", **opts)
+        eliminants = [g for g in basis.exprs if not g.free_symbols & set(free)]
+        total *= functools.reduce(lambda a, b: sympy.gcd(a, b, **opts), eliminants)
+    # radical of the binary form: sqf part at t = 1, and t once if it divides
+    form = sympy.Poly(total, s, t, **opts)
+    affine = sympy.Poly(form.as_expr().subs(t, 1), s, **opts)
+    rad = sympy.Poly(sympy.sqf_part(affine), s, **opts)
+    out = sympy.Poly(sympy.expand(rad.as_expr().subs(s, s / t) * t ** rad.degree()), s, t, **opts)
+    if affine.degree() < form.total_degree():
+        out = out * sympy.Poly(t, s, t, **opts)
+    return out.monic()
+
+
+@pytest.mark.parametrize("p", [0, 5, 7, 11, 13])
+def test_locus_matches_a_groebner_elimination(p):
+    field = QQ if p == 0 else PrimeField(p)
+    s, t = sympy.symbols("s t")
+    ours = sum(
+        sympy.Rational(str(c)) * s**i * t**j for (i, j), c in pencil_singular_locus(field).terms
+    )
+    opts = {"domain": "QQ"} if p == 0 else {"modulus": p}
+    assert sympy.Poly(ours, s, t, **opts) == _groebner_locus(p or None)
 
 
 def test_locus_is_computed_once_per_field():
@@ -108,6 +142,19 @@ def test_nodes_at_the_conjugate_parameters():
     for root in (theta, theta.conjugate()):
         rep = classify_singular_member(QQ, (K.one, root))
         assert rep.kind == NODE
+
+
+def test_charts_locate_an_affine_node():
+    # the singular members above all have their point on Z = 0; this nodal
+    # cubic has its node at [1:2:1] and no other singular point
+    s, t, X, Y, Z = Poly.gens(QQ, PENCIL_VARS)
+    cubic = (Y - 2 * Z) ** 2 * Z - (X - Z) ** 2 * X
+    partials = [cubic.derivative(v) for v in ("X", "Y", "Z")]
+    found = [
+        pencil._find_points([g.substitute(fixed) for g in partials], free)
+        for fixed, free in pencil._CHARTS
+    ]
+    assert found == [[(1, 2)], [], []]
 
 
 def test_degenerate_member_has_several_singular_points():
@@ -238,3 +285,109 @@ def test_weighted_members_pass_all_checks(i):
 def test_weighted_member_degree_validation():
     with pytest.raises(ValueError):
         weighted_member_check(4)
+
+
+# -- the smoothness fallback on plane sextics in P(1, 1, 2) ----------------------
+#
+# Both modeled members leave the resultant screen at a constant, so these
+# sextics over F_5 exercise what the members never reach: candidate values
+# that must be confirmed or refuted on their fibres, over F_5 and over F_25.
+
+S_T_X = sympy.symbols("s t x")
+
+# singular at the F_5-point [1:1:0]
+SEXTIC_PRIME_FIELD_POINT = "x**2*(x - s**2) + (t - s)**2*s**4"
+# no singular F_5-point; singular at s = 1, t = 1 + r, x = 4 + r with r^2 = 2
+SEXTIC_EXTENSION_POINT = (
+    "3*s**5*t + 2*s**4*t**2 + 3*s**4*x + 4*s**3*t*x + 2*s**2*t**4 + 2*s**2*t**2*x"
+    " + 2*s**2*x**2 + s*t**5 + 4*s*t*x**2 + 4*t**4*x + 4*t**2*x**2 + 3*x**3"
+)
+# its candidate values of t form an irreducible cubic over F_5
+SEXTIC_CUBIC_RESIDUAL = (
+    "4*s**5*t + 3*s**4*t**2 + 3*s**3*t**3 + 4*s**2*t**4 + 3*s**2*t**2*x + s**2*x**2"
+    " + 4*s*t**3*x + 4*t**6 + 2*t**4*x + 2*t**2*x**2 + 2*x**3"
+)
+
+
+def _sextic(text):
+    terms = sympy.Poly(sympy.sympify(text), *S_T_X).terms()
+    return Poly.make(
+        PrimeField(5), WEIGHTED_VARS, {m + (0,): int(c) for m, c in terms}, WEIGHTS
+    )
+
+
+class _F25:
+    """a + b r with r^2 = 2 over F_5, independent of ldp.fields."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = a % 5, b % 5
+
+    def __add__(self, o):
+        o = o if isinstance(o, _F25) else _F25(o)
+        return _F25(self.a + o.a, self.b + o.b)
+
+    def __mul__(self, o):
+        o = o if isinstance(o, _F25) else _F25(o)
+        return _F25(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, n):
+        out = _F25(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+
+def _singular_points(text):
+    """Brute force over F_25: the points of P(1, 1, 2) where every partial of
+    the sextic vanishes (Euler's relation, 6 being prime to 5, makes the
+    sextic vanish there too), as (s, t, x) with coordinates (a, b) = a + b r."""
+    expr = sympy.sympify(text)
+    partials = [sympy.Poly(sympy.diff(expr, v), *S_T_X).terms() for v in S_T_X]
+    elements = [_F25(a, b) for a in range(5) for b in range(5)]
+    one, zero = _F25(1), _F25(0)
+    points = [(one, t, x) for t in elements for x in elements]
+    points += [(zero, one, x) for x in elements] + [(zero, zero, one)]
+    found = []
+    for point in points:
+        if not any(
+            sum((c * point[0] ** i * point[1] ** j * point[2] ** k for (i, j, k), c in terms), zero)
+            for terms in partials
+        ):
+            found.append(tuple((z.a, z.b) for z in point))
+    return found
+
+
+def _no_extension_fields(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built an extension field")
+
+    monkeypatch.setattr(pencil, "QuadraticExtension", refuse)
+
+
+def test_sextic_singular_at_a_prime_field_point(monkeypatch):
+    assert ((1, 0), (1, 0), (0, 0)) in _singular_points(SEXTIC_PRIME_FIELD_POINT)
+    # decided on an F_5 fibre, before any extension field is built
+    _no_extension_fields(monkeypatch)
+    assert pencil._plane_sextic_smooth(_sextic(SEXTIC_PRIME_FIELD_POINT)) is False
+
+
+def test_sextic_singular_only_over_the_quadratic_extension(monkeypatch):
+    points = _singular_points(SEXTIC_EXTENSION_POINT)
+    assert ((1, 0), (1, 1), (4, 1)) in points
+    assert all(any(b for _, b in point) for point in points)  # none over F_5
+    G = _sextic(SEXTIC_EXTENSION_POINT)
+    assert pencil._plane_sextic_smooth(G) is False
+    # every F_5 fibre is clean: only the extension fibre finds the point
+    _no_extension_fields(monkeypatch)
+    with pytest.raises(AssertionError, match="extension field"):
+        pencil._plane_sextic_smooth(G)
+
+
+def test_sextic_with_a_cubic_residual_is_refused_by_name():
+    with pytest.raises(pencil.ResidualDegreeError, match="degree 3"):
+        pencil._plane_sextic_smooth(_sextic(SEXTIC_CUBIC_RESIDUAL))

@@ -225,6 +225,14 @@ def test_pullbacks_match_a_dense_solve(preset):
         )
 
 
+def test_an_empty_curve_list_pulls_back_along_nothing(res24):
+    # [] names no curve; only None means every contracted curve
+    g2 = res24.curve("G_2")
+    assert P.pullback_weil(res24, g2, []) == g2
+    assert P.ceil_pullback(res24, g2, []) == g2
+    assert P.pullback_weil(res24, g2) != g2
+
+
 def test_rebuilt_lattices_share_one_compiled_contraction():
     a, b = P.preset_resolution("[2,4]"), P.preset_resolution("[2,4]")
     assert a is not b

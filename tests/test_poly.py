@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from ldp.fields import QQ, PrimeField, QuadraticExtension
 from ldp.poly import (
     ExactPolynomial as Poly,
+    binary_gcd,
     binary_squarefree,
     poly_from_json,
     poly_gcd,
@@ -15,6 +21,8 @@ from ldp.poly import (
     resultant,
     squarefree_part,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_prime_field_arithmetic():
@@ -109,6 +117,27 @@ def test_binary_squarefree_keeps_radical():
     assert red == (s * t * (s + t)).monic()
 
 
+linear_forms = st.lists(st.tuples(coeffs, coeffs).filter(any), min_size=0, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_forms, linear_forms, linear_forms)
+def test_binary_gcd_matches_sympy(common, left, right):
+    s, t = Poly.gens(QQ, ("s", "t"))
+    S, T = sympy.symbols("s t")
+
+    def form(factors):
+        out = Poly.constant(QQ, ("s", "t"), 1)
+        for a, b in factors:
+            out = out * (a * s + b * t)
+        return out
+
+    f, g = form(common + left), form(common + right)
+    expected = sympy.Poly(sympy.gcd(_to_sympy(f, (S, T)), _to_sympy(g, (S, T))), S, T, domain="QQ")
+    ours = binary_gcd(f, g, "s", "t")
+    assert sympy.Poly(_to_sympy(ours, (S, T)), S, T, domain="QQ") == expected.monic()
+
+
 def test_weighted_homogeneity():
     F = PrimeField(5)
     s, t, x, y = Poly.gens(F, ("s", "t", "x", "y"), (1, 1, 2, 3))
@@ -129,3 +158,62 @@ def test_poly_json_roundtrip():
     s, t, x, y = Poly.gens(F, ("s", "t", "x", "y"), (1, 1, 2, 3))
     f = y**2 - x**3 + 2 * s * t * x
     assert poly_from_json(poly_to_json(f), F) == f
+
+
+# Each case breaks one invariant, by a bad input or by swapping one name for
+# a fake, then calls the code that must notice.  Under -O an assert would not.
+_BROKEN_INVARIANTS = """
+import json, sys
+from ldp import pencil, poly
+from ldp.fields import QQ, PrimeField, QuadElement, QuadraticExtension
+from ldp.graphs import InvariantError
+
+F5 = PrimeField(5)
+Poly = poly.ExactPolynomial
+x, = Poly.gens(F5, ("x",))
+s, t = Poly.gens(QQ, ("s", "t"))
+member = pencil.pencil_cubic(F5).substitute({"s": 1, "t": 1})
+sextic_zero = lambda i: Poly.zero(F5, pencil.WEIGHTED_VARS, pencil.WEIGHTS)
+cases = {
+    "pencil: locus only in s and t": (None, None, None,
+                                      lambda: pencil._project_st(pencil.pencil_cubic(QQ))),
+    # [1:1:1] is a base point, hence a smooth point, of the member at [1:1]
+    "pencil: singular point": (None, None, None,
+                               lambda: pencil._node_or_cusp(member, (F5.one,) * 3, F5)),
+    "pencil: member eliminates y": (pencil, "weighted_member", sextic_zero,
+                                    lambda: pencil.weighted_member_check(3)),
+    "poly: p-th power": (None, None, None, lambda: poly._pth_root(x**5 + x, "x")),
+    "poly: derivative in char 0": (Poly, "derivative", lambda self, var: Poly.zero(QQ, self.vars),
+                                   lambda: poly.squarefree_part(s**2, "s")),
+    "poly: binary form": (None, None, None, lambda: poly.binary_squarefree(s**2 + t, "s", "t")),
+    "fields: norm in the base field": (QuadElement, "conjugate", lambda self: self,
+                                       lambda: QuadraticExtension(QQ, 11, -1).generator.norm()),
+}
+fired = {}
+for name, (owner, attr, fake, call) in cases.items():
+    if owner is not None:
+        original = getattr(owner, attr)
+        setattr(owner, attr, fake)
+    try:
+        call()
+        fired[name] = False
+    except InvariantError:
+        fired[name] = True
+    finally:
+        if owner is not None:
+            setattr(owner, attr, original)
+print(json.dumps({"optimize": sys.flags.optimize, "fired": fired}))
+"""
+
+
+def test_invariant_checks_survive_python_o():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    assert len(out["fired"]) == 7
+    assert all(out["fired"].values()), out["fired"]
