@@ -172,7 +172,7 @@ def cmd_hunt(args):
     )
 
 
-# table1's largest n or m: --n 0..100 --m 1..100 takes about 2.5 s, and
+# table1's largest n or m: --n 0..100 --m 1..100 takes about 1 s, and
 # the time grows faster than quadratically in the upper bounds
 MAX_TABLE1_PARAM = 100
 

@@ -11,10 +11,11 @@ the closed-form expressions below reproduce f vertex by vertex from
 subgraph determinants alone.
 
 With delta = det(-M) and adj its adjugate, delta*d = adj.a and
-delta*e = adj.kappa are integer vectors.  The incidence sweep therefore
-checks everything as integer identities: the pairing as delta*<a, b>
-against 2*delta, and each display, cross-multiplied by delta, as
-delta*f_v = delta - (adj.a)_v - (adj.kappa)_v.
+delta*e = adj.kappa are integer vectors, each an O(n) sum of products of
+the subgraph determinants (continuants) of the chain or star.  The
+incidence sweep therefore checks everything as integer identities: the
+pairing as delta*<a, b> against 2*delta, and each display,
+cross-multiplied by delta, as delta*f_v = delta - (adj.a)_v - (adj.kappa)_v.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,10 +31,9 @@ from functools import cached_property
 from .graphs import (
     InvariantError,
     NotNegativeDefiniteError,
-    _pivot_determinant,
-    _tree_elimination,
-    _tree_solve,
+    _continuants,
     format_graph,
+    graph_determinant,
     is_negative_definite,
 )
 
@@ -60,51 +61,28 @@ class UnsupportedConfigurationError(ValueError):
     pass
 
 
-_ND_CACHE = {}
-
-
 def _require_usable(g):
+    """The _GraphData of a nonempty negative definite graph."""
     if g.is_empty():
         raise ValueError("graph must be nonempty")
-    key = (g.vertices, g.edges)
-    nd = _ND_CACHE.get(key)
-    if nd is None:
-        nd = is_negative_definite(g)
-        _ND_CACHE[key] = nd
-    if not nd:
+    # the graph keeps its determinant, so this is O(1) after the first call
+    if not is_negative_definite(g):
         raise NotNegativeDefiniteError(f"{format_graph(g)} is not negative definite")
-
-
-_GRAPH_CACHE = {}
-
-
-def _structural_key(g):
-    # hash by literal vertex order, not canonical form: the cached vectors
-    # and matrices are indexed by g.vertices
-    return (g.vertices, g.edges)
-
-
-def _continuants(weights):
-    """det(-M) of the first k vertices of a chain with these weights, for
-    k = 0..len(weights): 1, w1, w1 w2 - 1, ..."""
-    out = [1]
-    below = 0
-    for w in weights:
-        out.append(w * out[-1] - below)
-        below = out[-2]
-    return out
+    return _graph_data(g)
 
 
 class _Shape:
     """Vertex positions of a chain or star, and the subgraph determinants
-    (det of -M on a vertex subset) that the closed-form displays read.
+    (det of -M on a vertex subset) that the closed-form displays and the
+    adjugate read.
 
     Chain: `order` lists the positions end to end, `at[p]` is the index of
     position p in it, and `pre[k]` / `suf[k]` are the determinants of the
     first k vertices of the order and of all but the first k.
 
-    Star: `center`, and `at[p]` = (branch, index from the center outward)
-    for every other position p; `d[b]` is the determinant of branch b,
+    Star: `center`, `branches` (the positions of each branch from the center
+    outward), and `at[p]` = (branch, index from the center outward) for
+    every other position p; `d[b]` is the determinant of branch b,
     `outer[b][k]` that of branch b from its k-th vertex outward, and
     `trunc[b][k]` that of the whole graph with branch b cut down to its
     first k vertices.
@@ -113,17 +91,17 @@ class _Shape:
     def __init__(self, g):
         index = {v: i for i, (v, _) in enumerate(g.vertices)}
         weights = [w for _, w in g.vertices]
-        self.chain = g.is_chain()
+        center, paths = g._walk
+        self.chain = center is None
         if self.chain:
-            self.order = [index[v] for v in g.chain_order()]
+            self.order = [index[v] for v in paths[0]]
             self.at = {p: k for k, p in enumerate(self.order)}
             ws = [weights[p] for p in self.order]
             self.pre = _continuants(ws)
             self.suf = _continuants(ws[::-1])[::-1]
             return
-        center, branches = g.star_parts()
         c = self.center = index[center]
-        branches = [[index[v] for v in br] for br in branches]
+        branches = self.branches = [[index[v] for v in br] for br in paths]
         self.at = {p: (b, k) for b, br in enumerate(branches) for k, p in enumerate(br)}
         self.outer = [_continuants([weights[p] for p in br][::-1])[::-1] for br in branches]
         self.d = [s[0] for s in self.outer]
@@ -143,55 +121,97 @@ class _Shape:
             self.trunc.append(row)
 
 
+def _adj_times(shape, x):
+    """adj(-M).x for an integer vector x by position, in O(n) integers.
+
+    On a tree, the (u, v) entry of the adjugate of -M is the determinant of
+    -M on the forest left when the u-v path is deleted (every path edge
+    carries -1 in -M, so no sign appears; Eisenbud-Neumann 1985).  On a
+    chain that is pre[i] * suf[j + 1] for order indices i <= j.  On a star
+    it is d of the other two branches times outer[b][k + 1] between the
+    center and (b, k); trunc[b][i] * outer[b][j + 1] between (b, i) and
+    (b, j) with i <= j; and outer[b][i + 1] * outer[b'][j + 1] * d[b'']
+    between (b, i) and (b', j) on different branches.  The sums over v run
+    as prefix and suffix sums along each path.
+    """
+    out = [0] * len(x)
+    if shape.chain:
+        pre, suf, order = shape.pre, shape.suf, shape.order
+        # low[i] = sum over j <= i of pre[j] x_j
+        low = list(itertools.accumulate(pre[i] * x[p] for i, p in enumerate(order)))
+        high = 0  # sum over j > i of suf[j + 1] x_j
+        for i in reversed(range(len(order))):
+            p = order[i]
+            out[p] = suf[i + 1] * low[i] + pre[i] * high
+            high += suf[i + 1] * x[p]
+        return out
+    c, d, outer, trunc = shape.center, shape.d, shape.outer, shape.trunc
+    others = (d[1] * d[2], d[0] * d[2], d[0] * d[1])  # d of the other two branches
+    tails = [sum(x[p] * outer[b][k + 1] for k, p in enumerate(br))
+             for b, br in enumerate(shape.branches)]
+    out[c] = d[0] * others[0] * x[c] + sum(map(operator.mul, others, tails))
+    for b, br in enumerate(shape.branches):
+        # near: the terms of the center, of the other two branches and of
+        # branch b before (b, i), each a multiple of outer[b][i + 1]; far:
+        # those of (b, i) and beyond it, each a multiple of trunc[b][i]
+        near = others[b] * x[c] + sum(d[3 - b - o] * tails[o] for o in range(3) if o != b)
+        far = tails[b]
+        for i, p in enumerate(br):
+            out[p] = outer[b][i + 1] * near + trunc[b][i] * far
+            near += trunc[b][i] * x[p]
+            far -= outer[b][i + 1] * x[p]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class _GraphData:
-    """The per-graph record: delta = det(-M), the adjugate of -M, e, kappa
-    and adj.kappa = delta*e, with the shape built on first use."""
+    """The per-graph record: delta = det(-M), kappa, adj.kappa = delta*e and
+    e, with the adjugate of -M built on first use."""
 
-    g: object
+    shape: _Shape
     delta: int
-    adj: list
-    e: tuple
     kappa: tuple
     adj_kappa: tuple
+    e: tuple
 
     @cached_property
-    def shape(self):
-        return _Shape(self.g)
+    def adj(self):
+        """adj(-M) as a list of rows, one O(n) product per unit vector (it
+        is symmetric); only the incidence sweep needs it whole."""
+        n = len(self.kappa)
+        return [_adj_times(self.shape, [int(i == j) for i in range(n)]) for j in range(n)]
+
+
+# Records by literal vertex order, not canonical form: their vectors are
+# indexed by g.vertices.  Least recently used records go first; the bound is
+# above the 461 distinct graphs of the reports on the Table 1 types with
+# n, m <= 14.
+_GRAPH_CACHE = OrderedDict()
+_GRAPH_CACHE_SIZE = 1024
 
 
 def _graph_data(g):
     """The _GraphData of a negative definite graph, cached.
 
-    adjugate/delta is the inverse of -M, so solves of M x = -rhs reduce to
-    one integer matrix-vector product.  delta is the pivot product of one
-    tree elimination, and the adjugate takes n tree solves, O(n^2) in all.
+    delta comes from the integer tree elimination of `graphs`, the rest from
+    the continuants of the shape: adj.kappa in O(n), and the adjugate, when
+    asked for, in O(n^2).
     """
-    key = _structural_key(g)
-    hit = _GRAPH_CACHE.get(key)
-    if hit is not None:
-        return hit
-    elimination = _tree_elimination(g)
-    if elimination is None:
-        raise NotNegativeDefiniteError(f"{format_graph(g)} is not negative definite")
-    delta = _pivot_determinant(elimination[2])
-    if delta <= 0:
-        raise InvariantError(f"det(-M) = {delta} of a negative definite graph is not positive")
-    n = len(g.vertices)
-    # -M is symmetric, so the solve for delta times the j-th unit vector is
-    # row j of the adjugate
-    adj = [
-        _tree_solve(elimination, [delta if i == j else 0 for i in range(n)])
-        for j in range(n)
-    ]
-    if any(x.denominator != 1 for row in adj for x in row):
-        raise InvariantError(f"adjugate of {format_graph(g)} is not integral")
-    adj = [[int(x) for x in row] for row in adj]
+    key = (g.vertices, g.edges)
+    data = _GRAPH_CACHE.get(key)
+    if data is not None:
+        _GRAPH_CACHE.move_to_end(key)
+        return data
+    delta = graph_determinant(g)
+    shape = _Shape(g)
     kappa = tuple(w - 2 for _, w in g.vertices)
-    adj_kappa = tuple(sum(r * k for r, k in zip(row, kappa)) for row in adj)
+    adj_kappa = tuple(_adj_times(shape, kappa))
+    if min(adj_kappa) < 0:
+        raise InvariantError(f"negative discrepancy {adj_kappa}/{delta} on {format_graph(g)}")
     e = tuple(Fraction(x, delta) for x in adj_kappa)
-    data = _GraphData(g, delta, adj, e, kappa, adj_kappa)
-    _GRAPH_CACHE[key] = data
+    data = _GRAPH_CACHE[key] = _GraphData(shape, delta, kappa, adj_kappa, e)
+    if len(_GRAPH_CACHE) > _GRAPH_CACHE_SIZE:
+        _GRAPH_CACHE.popitem(last=False)
     return data
 
 
@@ -211,11 +231,7 @@ def discrepancies(g):
     exactly for klt graphs (a few negative definite stars, e.g.
     [2;[2],[4],[4]], are log canonical but not klt and reach e = 1).
     """
-    _require_usable(g)
-    e = _graph_data(g).e
-    if any(x < 0 for x in e):
-        raise InvariantError(f"negative discrepancy {e} on {format_graph(g)}")
-    return e
+    return _require_usable(g).e
 
 
 @dataclass(frozen=True)
@@ -233,20 +249,16 @@ class DiscrepancyData:
 
 
 def pair_coefficients(g, a):
-    _require_usable(g)
+    data = _require_usable(g)
     a = tuple(int(x) for x in a)
     _check_incidence(g, a)
-    data = _graph_data(g)
-    delta, adj, e = data.delta, data.adj, data.e
-    n = len(a)
-    d = tuple(
-        Fraction(sum(adj[i][j] * a[j] for j in range(n)), delta) for i in range(n)
-    )
-    if any(x < 0 for x in d):
-        raise InvariantError(f"negative coefficient {d} for incidence {a}")
-    b = tuple(di + ei for di, ei in zip(d, e))
+    dd = _adj_times(data.shape, a)
+    if min(dd) < 0:
+        raise InvariantError(f"negative coefficient {dd}/{data.delta} for incidence {a}")
+    d = tuple(Fraction(x, data.delta) for x in dd)
+    b = tuple(di + ei for di, ei in zip(d, data.e))
     f = tuple(1 - bi for bi in b)
-    return DiscrepancyData(a, d, e, b, f)
+    return DiscrepancyData(a, d, data.e, b, f)
 
 
 def selfint_kc(g, a, pa=0):
@@ -261,12 +273,9 @@ def selfint_kc(g, a, pa=0):
 
 
 def _scaled_pairing(data, a):
-    """delta*<a, b> = sum over the support of a_i ((adj.a)_i + (adj.kappa)_i)."""
-    adj, ak = data.adj, data.adj_kappa
+    """delta*<a, b> = sum of a_i ((adj.a)_i + (adj.kappa)_i)."""
     return sum(
-        ai * (sum(r * x for r, x in zip(adj[i], a)) + ak[i])
-        for i, ai in enumerate(a)
-        if ai
+        ai * (x + k) for ai, x, k in zip(a, _adj_times(data.shape, a), data.adj_kappa) if ai
     )
 
 
@@ -276,8 +285,7 @@ def pairing_scaled(g, a):
     Avoids rational arithmetic in brute-force sweeps: <a, b> <= 2 iff
     pairing_scaled(g, a) <= 2 * graph_determinant(g).
     """
-    _require_usable(g)
-    return _scaled_pairing(_graph_data(g), a)
+    return _scaled_pairing(_require_usable(g), a)
 
 
 @dataclass(frozen=True)
@@ -331,12 +339,11 @@ def _classify(data, a, support, scaled):
 
 
 def classify_incidence(g, a):
-    _require_usable(g)
+    data = _require_usable(g)
     a = tuple(int(x) for x in a)
     _check_incidence(g, a)
     if not any(a):
         raise ZeroIncidenceError("incidence vector is zero")
-    data = _graph_data(g)
     support = [i for i, x in enumerate(a) if x]
     return _classify(data, a, support, _scaled_pairing(data, a))
 
@@ -407,13 +414,12 @@ def closed_form_scaled(g, a, vertex):
     """delta*f at the given vertex position, as an integer, by the displayed
     determinant formula matching the support pattern; raises if no display
     covers (g, a, vertex)."""
-    _require_usable(g)
+    shape = _require_usable(g).shape
     a = tuple(int(x) for x in a)
     _check_incidence(g, a)
     support = [i for i, x in enumerate(a) if x]
     if vertex not in support:
         raise UnsupportedConfigurationError("vertex is not in the support")
-    shape = _graph_data(g).shape
     out = _display_scaled(shape, a, support, vertex)
     if out is None:
         kind = "chain" if shape.chain else "star"
@@ -450,8 +456,7 @@ def incidence_sweep(g, max_a):
     the previous sum, so dd costs one row addition and scaled O(1); the
     sweep keeps reading dd, so callers must not modify it.
     """
-    _require_usable(g)
-    data = _graph_data(g)
+    data = _require_usable(g)
     delta, adj, ak = data.delta, data.adj, data.adj_kappa
     shape = data.shape
     n = len(adj)

@@ -72,9 +72,13 @@ def bogomolov_flag(t):
 
     Tabulated configurations are Infeasible unless they are one of the two
     feasible types; anything off the table is NotExcluded (no pinned datum).
+    Every tabulated type holds 2[2^4], so a type without two [2^4] chains
+    is off the table, and the table need not be built to say so.
     """
-    pinned, feasible = _pinned_tables()
     key = t.canonical_key()
+    if key.count(("chain", (2, 2, 2, 2))) < 2:
+        return NOT_EXCLUDED
+    pinned, feasible = _pinned_tables()
     if key in feasible:
         return NOT_EXCLUDED
     if key in pinned:

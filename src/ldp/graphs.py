@@ -8,9 +8,8 @@ written e.g. "2[2^4]+[2,4]".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 
 class DynkinSyntaxError(ValueError):
@@ -56,25 +55,27 @@ class WeightedDualGraph:
         for e in self.edges:
             if len(e) != 2 or not e <= idset:
                 raise ValueError(f"bad edge {set(e)}")
-        self._check_shape()
+        # the graph is immutable, so the walk that checks its shape is kept:
+        # the chain order or the star branches are computed once
+        object.__setattr__(self, "_walk", self._check_shape())
 
     def _check_shape(self):
+        """(center, paths) of a chain or a three-branch star; raises on any
+        other graph.  A chain has center None and its vertex ids end to end
+        from the smaller end id as its one path (no path when empty); a star
+        has its center id and its three branches from the center outward."""
         n = len(self.vertices)
         if n == 0:
             if self.edges:
                 raise ValueError("edges without vertices")
-            return
+            return None, ()
         if len(self.edges) != n - 1:
             raise ValueError("graph must be a connected tree (chain or 3-star)")
-        deg = {v: 0 for v, _ in self.vertices}
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
         # connectivity: tree with n-1 edges is connected iff no isolated part;
         # walk it to be safe
         seen = set()
         stack = [self.vertices[0][0]]
-        adj = self.adjacency()
+        adj = _adjacency(self)
         while stack:
             v = stack.pop()
             if v in seen:
@@ -83,19 +84,39 @@ class WeightedDualGraph:
             stack.extend(adj[v])
         if len(seen) != n:
             raise ValueError("graph is not connected")
-        branch = [v for v, d in deg.items() if d >= 3]
-        if len(branch) > 1 or (branch and deg[branch[0]] != 3):
+        branch = [v for v, vs in adj.items() if len(vs) >= 3]
+        if len(branch) > 1 or (branch and len(adj[branch[0]]) != 3):
             raise ValueError("graph must be a chain or a star with three branches")
+        if branch:
+            c = branch[0]
+            return c, tuple(_path(adj, first, c) for first in adj[c])
+        return None, (_path(adj, min(v for v, vs in adj.items() if len(vs) <= 1), None),)
 
     # -- structure helpers ------------------------------------------------
+    #
+    # The walk (_walk), the canonical key (_key) and the determinant (_det)
+    # are kept on the graph; the public methods hand out copies.
+
+    @cached_property
+    def _key(self):
+        w = dict(self.vertices)
+        center, paths = self._walk
+        if center is None:
+            if not paths:
+                return ("empty",)
+            seq = tuple(w[v] for v in paths[0])
+            return ("chain", min(seq, seq[::-1]))
+        bw = sorted((len(b), tuple(w[v] for v in b)) for b in paths)
+        return ("star", w[center], tuple(seq for _, seq in bw))
+
+    @cached_property
+    def _det(self):
+        """det(-M), or None when -M is not positive definite: one integer
+        elimination per graph, shared by every test and determinant."""
+        return _tree_determinant(self) if self.vertices else 1
 
     def adjacency(self):
-        adj = {v: [] for v, _ in self.vertices}
-        for e in self.edges:
-            a, b = tuple(e)
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+        return _adjacency(self)
 
     @property
     def weight_map(self):
@@ -105,66 +126,33 @@ class WeightedDualGraph:
         return not self.vertices
 
     def is_chain(self):
-        return all(len(vs) <= 2 for vs in self.adjacency().values())
+        return self._walk[0] is None
 
     def center(self):
         """The degree-3 vertex of a star, or None for chains."""
-        for v, vs in self.adjacency().items():
-            if len(vs) == 3:
-                return v
-        return None
+        return self._walk[0]
 
     def chain_order(self):
         """Vertex ids of a chain listed end to end."""
-        if not self.is_chain():
+        center, paths = self._walk
+        if center is not None:
             raise ValueError("not a chain")
-        if self.is_empty():
-            return []
-        adj = self.adjacency()
-        ends = [v for v, vs in adj.items() if len(vs) <= 1]
-        start = min(ends) if ends else self.vertices[0][0]
-        order = [start]
-        while len(order) < len(self.vertices):
-            nxt = [v for v in adj[order[-1]] if v not in order]
-            order.append(nxt[0])
-        return order
+        return list(paths[0]) if paths else []
 
     def star_parts(self):
         """(center id, [branch ids from center outward] x3) of a star."""
-        c = self.center()
+        c, branches = self._walk
         if c is None:
             raise ValueError("not a star")
-        adj = self.adjacency()
-        branches = []
-        for first in adj[c]:
-            branch = [first]
-            prev = c
-            while True:
-                nxt = [v for v in adj[branch[-1]] if v != prev]
-                if not nxt:
-                    break
-                prev = branch[-1]
-                branch.append(nxt[0])
-            branches.append(branch)
-        return c, branches
+        return c, [list(b) for b in branches]
 
     # -- canonical form ----------------------------------------------------
 
     def canonical_key(self):
-        w = self.weight_map
-        if self.is_empty():
-            return ("empty",)
-        if self.is_chain():
-            seq = tuple(w[v] for v in self.chain_order())
-            return ("chain", min(seq, seq[::-1]))
-        c, branches = self.star_parts()
-        bw = sorted(
-            (len(b), tuple(w[v] for v in b)) for b in branches
-        )
-        return ("star", w[c], tuple(seq for _, seq in bw))
+        return self._key
 
     def canonical(self):
-        key = self.canonical_key()
+        key = self._key
         if key[0] == "empty":
             return chain([])
         if key[0] == "chain":
@@ -174,13 +162,33 @@ class WeightedDualGraph:
     def __eq__(self, other):
         if not isinstance(other, WeightedDualGraph):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self.canonical_key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"WeightedDualGraph({format_graph(self)!r})"
+
+
+def _adjacency(g):
+    adj = {v: [] for v, _ in g.vertices}
+    for e in g.edges:
+        a, b = e
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _path(adj, first, prev):
+    """Vertex ids from first to the end of the path that leaves prev behind."""
+    path = [first]
+    while True:
+        nxt = [v for v in adj[path[-1]] if v != prev]
+        if not nxt:
+            return tuple(path)
+        prev = path[-1]
+        path.append(nxt[0])
 
 
 def chain(weights, prefix="v"):
@@ -220,7 +228,7 @@ class DynkinType:
                 raise ValueError("Dynkin type components must be nonempty")
 
     def canonical_key(self):
-        return tuple(sorted(g.canonical_key() for g in self.components))
+        return tuple(sorted(g._key for g in self.components))
 
     def sorted_components(self):
         return sorted(self.components, key=_component_sort_key)
@@ -238,7 +246,7 @@ class DynkinType:
 
 
 def _component_sort_key(g):
-    key = g.canonical_key()
+    key = g._key
     if key[0] == "chain":
         return (0, -len(key[1]), key[1])
     return (1, sum(len(b) for b in key[2]), key[1], key[2])
@@ -260,7 +268,7 @@ def _format_runs(weights):
 
 
 def format_graph(g):
-    key = g.canonical_key()
+    key = g._key
     if key[0] == "empty":
         return "[]"
     if key[0] == "chain":
@@ -286,10 +294,19 @@ def format_dynkin(t):
 # -- parsing ----------------------------------------------------------------
 
 
+# The most vertices a Dynkin type may have, over all its components with
+# their multiplicities.  The parser counts them before it expands any run or
+# multiplicity prefix, so an oversized type is refused without being built.
+MAX_VERTICES = 2000
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.done = 0  # vertices of the items parsed so far, with multiplicity
+        self.mult = 1  # multiplicity of the item being parsed
+        self.graph_vertices = 0  # vertices of its graph so far
 
     def error(self, message):
         raise DynkinSyntaxError(message, self.pos)
@@ -316,6 +333,14 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start : self.pos])
 
+    def count(self, k, at):
+        """Count k more vertices of the graph being parsed, refusing the type
+        once it passes MAX_VERTICES."""
+        self.graph_vertices += k
+        if self.done + self.mult * self.graph_vertices > MAX_VERTICES:
+            self.pos = at
+            self.error(f"the type has more than MAX_VERTICES = {MAX_VERTICES} vertices")
+
     def run(self):
         """One weight run 'w' or 'w^r'; returns a weight list."""
         at = self.pos
@@ -323,11 +348,12 @@ class _Parser:
         if w < 2:
             self.pos = at
             self.error(f"weight {w} < 2")
+        r = 1
         if self.peek() == "^":
             self.pos += 1
             r = self.integer()
-            return [w] * r
-        return [w]
+        self.count(r, at)
+        return [w] * r
 
     def chain_body(self):
         """After '[': runs up to (not consuming) ';' / ']'."""
@@ -364,15 +390,17 @@ class _Parser:
         return chain(first)
 
     def item(self):
-        mult = 1
+        self.mult = 1
         if self.peek().isdigit():
             at = self.pos
-            mult = self.integer()
-            if mult < 2:
+            self.mult = self.integer()
+            if self.mult < 2:
                 self.pos = at
                 self.error("multiplicity prefix must be >= 2")
+        self.graph_vertices = 0
         g = self.graph()
-        return [g] * mult
+        self.done += self.mult * self.graph_vertices
+        return [g] * self.mult
 
     def dynkin(self):
         graphs = list(self.item())
@@ -419,73 +447,52 @@ def intersection_matrix(g):
     return m
 
 
-def _tree_elimination(g):
-    """Gaussian elimination of -M from the leaves to the root, or None.
+def _continuants(weights):
+    """det(-M) of the first k vertices of a chain with these weights, for
+    k = 0..len(weights): 1, w1, w1 w2 - 1, ..."""
+    out = [1]
+    below = 0
+    for w in weights:
+        out.append(w * out[-1] - below)
+        below = out[-2]
+    return out
 
-    The graph is a tree, so eliminating a vertex only changes the diagonal
-    entry of its parent and nothing fills in.  Returns (order, parent,
-    pivots): the vertex positions leaf to root (position 0 is the root), the
-    parent position of each position (None at the root), and the pivot
-    p_v = w_v - sum over the children c of 1/p_c at each position.  Returns
-    None at the first pivot <= 0, i.e. when -M is not positive definite.
+
+def _tree_determinant(g):
+    """det(-M) of a nonempty graph by one integer elimination from the leaves
+    to the root, or None when -M is not positive definite.
+
+    The root is the center of a star, or the first vertex of a chain's walk.
+    The elimination pivot at a vertex is the determinant of the subtree
+    below it over the product of its children's, so -M is positive definite
+    exactly when every subtree determinant is > 0, and det(-M) is the
+    root's.  Below the root every subtree is a path, whose determinant is a
+    continuant; with every weight >= 2 the continuants of a path increase
+    from 1, so only the root can fail.  At a star's center the determinant
+    expands as w_c d1 d2 d3 - sum over the branches of d_b' times the other
+    two d, where d_b is the determinant of branch b and d_b' that of branch
+    b without its vertex next to the center.
     """
-    index = {v: i for i, (v, _) in enumerate(g.vertices)}
-    nbrs = [[] for _ in index]
-    for e in g.edges:
-        a, b = (index[v] for v in e)
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    parent = [None] * len(index)
-    order = [0] if index else []
-    for v in order:  # breadth first from the root; grows while it runs
-        for c in nbrs[v]:
-            if c != parent[v]:
-                parent[c] = v
-                order.append(c)
-    order.reverse()
-    pivots = [Fraction(w) for _, w in g.vertices]
-    for v in order:
-        p = pivots[v]
-        if p <= 0:
-            return None
-        if parent[v] is not None:
-            pivots[parent[v]] -= 1 / p
-    return order, parent, pivots
-
-
-def _tree_solve(elimination, b):
-    """x with -M x = b, from the output of _tree_elimination in O(n)."""
-    order, parent, pivots = elimination
-    x = list(b)
-    for v in order:  # fold each row into its parent's row
-        if parent[v] is not None and x[v]:
-            x[parent[v]] += x[v] / pivots[v]
-    for v in reversed(order):  # root first, so x[parent] is already solved
-        up = parent[v]
-        x[v] = (x[v] if up is None else x[v] + x[up]) / pivots[v]
-    return x
-
-
-def _pivot_determinant(pivots):
-    """det(-M) as the product of the elimination pivots; must be an integer."""
-    d = math.prod(pivots)
-    if d.denominator != 1:
-        raise InvariantError(f"determinant {d} of an integer matrix is not integral")
-    return int(d)
+    w = dict(g.vertices)
+    center, paths = g._walk
+    # each path from its leaf inward, so that [-1] is the whole path
+    dets = [_continuants([w[v] for v in reversed(path)]) for path in paths]
+    if center is None:
+        return dets[0][-1]
+    (d1, d2, d3), (e1, e2, e3) = ([s[k] for s in dets] for k in (-1, -2))
+    delta = w[center] * d1 * d2 * d3 - e1 * d2 * d3 - d1 * e2 * d3 - d1 * d2 * e3
+    return delta if delta > 0 else None
 
 
 def is_negative_definite(g):
-    return g.is_empty() or _tree_elimination(g) is not None
+    return g._det is not None
 
 
 def graph_determinant(g):
     """|det| of the intersection matrix; 1 for the empty graph."""
-    if g.is_empty():
-        return 1
-    elimination = _tree_elimination(g)
-    if elimination is None:
+    if g._det is None:
         raise NotNegativeDefiniteError(f"{format_graph(g)} is not negative definite")
-    return _pivot_determinant(elimination[2])
+    return g._det
 
 
 def dynkin_matrix(t):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ldp import cli
+from ldp import cli, graphs
 
 
 def run(capsys, *argv):
@@ -146,6 +146,20 @@ def test_det_of_a_long_chain(capsys):
     # a chain of k (-2)-curves is A_k, with determinant k + 1
     data = run_json(capsys, "det", "[2^160]")
     assert data["determinant"] == 161
+
+
+def test_types_are_bounded_at_parse_time(capsys):
+    bound = graphs.MAX_VERTICES
+    assert bound >= 1500
+    assert run_json(capsys, "det", f"[2^{bound}]")["determinant"] == bound + 1
+    assert run_json(capsys, "det", f"{bound}[2]")["determinant"] == 2**bound
+    # refused by the parser's count, before any weight list is expanded
+    for text in (f"[2^{bound + 1}]", f"{bound + 1}[2]", f"2[2^{bound // 2}]+[3]",
+                 "[2^100000000]", "100000000[2^4]"):
+        code, out, err = run(capsys, "report", text)
+        assert code == 2
+        assert out == ""
+        assert f"more than MAX_VERTICES = {bound} vertices" in err
 
 
 def test_report_on_a_large_star_solves_m_e_equals_minus_kappa(capsys):

@@ -1,5 +1,6 @@
 """Tests for the feasibility battery."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from ldp.feasibility import (
     kv_vanishing_bound,
     report_to_json,
 )
-from ldp.graphs import parse_dynkin
+from ldp.graphs import DynkinType, chain, parse_dynkin, star, table1_enumerate
 
 
 def test_mode_defaults_to_pinned(monkeypatch):
@@ -126,3 +127,34 @@ def test_small_battery_over_the_table():
         assert rep.k_sq > 0
         flags.add(rep.bogomolov)
     assert INFEASIBLE in flags
+
+
+def test_types_without_two_a4_chains_skip_the_pinned_table(monkeypatch):
+    pinned, feasible = feasibility._pinned_tables()
+
+    def lookup(t):
+        key = t.canonical_key()
+        return NOT_EXCLUDED if key in feasible else INFEASIBLE if key in pinned else NOT_EXCLUDED
+
+    tabulated = {t for _, t in table1_enumerate((0, 4), (1, 4), None)}
+    assert len(tabulated) == 88
+    # single chains and stars like the large-graph reports, and types with
+    # one [2^4] or with two [2^4] off the table
+    rng = random.Random(7)
+    singles = []
+    for n in range(6, 73):
+        weights = [2 + i % 4 for i in range(n)]
+        rng.shuffle(weights)
+        singles.append(DynkinType((chain(weights),)))
+        cut = sorted(rng.sample(range(1, n - 1), 2))
+        branches = [weights[1 : cut[0]], weights[cut[0] : cut[1]], weights[cut[1] :]]
+        if all(branches):
+            singles.append(DynkinType((star(rng.randint(3, 5), branches),)))
+    others = [parse_dynkin(s) for s in ("[2^4]+[3]", "[2^4]+[2,4]", "2[2^4]+[2,3]", "3[2^4]")]
+    for t in list(tabulated) + singles + others:
+        assert bogomolov_flag(t) == lookup(t), t
+    monkeypatch.setattr(feasibility, "_PINNED_KEYS", None)
+    monkeypatch.setattr(feasibility, "_FEASIBLE_KEYS", None)
+    for t in singles + others[:2]:
+        assert bogomolov_flag(t) == NOT_EXCLUDED
+    assert feasibility._PINNED_KEYS is None

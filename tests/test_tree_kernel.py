@@ -1,7 +1,8 @@
-"""The leaf-to-root tree kernel against dense exact linear algebra.
+"""The integer tree kernel against dense exact linear algebra.
 
-Negative definiteness, the determinant, the adjugate and the discrepancies
-all come from one elimination of -M along the tree; `linalg.int_det` and
+Negative definiteness and the determinant come from one integer elimination
+of -M along the tree, and the adjugate and the discrepancies from products
+of the subgraph determinants of the chain or star; `linalg.int_det` and
 `linalg.solve` are the dense references here.
 """
 
@@ -12,11 +13,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ldp import cli, linalg
 from ldp import discrepancy as D
-from ldp import linalg
 from ldp.graphs import (
     NotNegativeDefiniteError,
     WeightedDualGraph,
@@ -72,32 +73,91 @@ def test_tree_kernel_matches_dense_linear_algebra(g):
     assert list(e) == linalg.solve(m, [-k for k in kappa])
 
 
+def _path(g, u, v):
+    """Positions on the u-v path of the tree g, by a walk from u."""
+    ids = [x for x, _ in g.vertices]
+    adj = g.adjacency()
+    parent = {ids[u]: None}
+    stack = [ids[u]]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    path, x = [], ids[v]
+    while x is not None:
+        path.append(ids.index(x))
+        x = parent[x]
+    return path
+
+
+@given(trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_formula_adjugate_matches_dense_linear_algebra(g, data):
+    assume(is_negative_definite(g))
+    m = intersection_matrix(g)
+    n = len(m)
+    minus_m = [[-x for x in row] for row in m]
+    delta = linalg.int_det(minus_m)
+    rec = D._graph_data(g)
+    assert rec.delta == delta
+    # every entry of a drawn column against delta * (-M)^-1, and one entry as
+    # the determinant of -M on the forest off the u-v path
+    j = data.draw(st.integers(0, n - 1))
+    column = linalg.solve(m, [-int(i == j) for i in range(n)])
+    assert [row[j] for row in rec.adj] == [delta * x for x in column]
+    u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
+    keep = [i for i in range(n) if i not in _path(g, u, v)]
+    assert rec.adj[u][v] == linalg.int_det([[minus_m[i][k] for k in keep] for i in keep])
+    assert list(rec.adj_kappa) == [delta * x for x in linalg.solve(m, [-k for k in rec.kappa])]
+    a = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    assert list(D.pair_coefficients(g, a).d) == linalg.solve(m, [-x for x in a])
+
+
+def test_report_and_det_leave_the_adjugate_unbuilt(capsys):
+    D._GRAPH_CACHE.clear()
+    for argv in (
+        ["report", "2[2^4]+[2;[2],[3],[5]]"],
+        ["report", "[3;[2^40],[2^40],[2^40]]+[2,5,3]"],
+        ["det", "[2^7,3]+[4;[2],[3],[3,2]]"],
+    ):
+        assert cli.main(argv) == 0
+    records = list(D._GRAPH_CACHE.values())
+    assert len(records) == 4
+    assert not any("adj" in vars(r) for r in records)
+    assert cli.main(["lemma42", "[2,4]", "--max-a", "1"]) == 0
+    capsys.readouterr()
+    assert any("adj" in vars(r) for r in D._GRAPH_CACHE.values())
+
+
+def test_record_cache_is_bounded():
+    D._GRAPH_CACHE.clear()
+    first = chain([2, 3])
+    D._graph_data(first)
+    for k in range(D._GRAPH_CACHE_SIZE):
+        D._graph_data(chain([2] * (k % 40 + 1) + [4 + k // 40]))
+    assert len(D._GRAPH_CACHE) == D._GRAPH_CACHE_SIZE
+    assert (first.vertices, first.edges) not in D._GRAPH_CACHE
+
+
 # Each case swaps one name for a fake that breaks one guaranteed identity and
 # calls the code that must notice.  Under -O a plain assert would not fire.
 _BROKEN_INVARIANTS = """
 import json, sys
-from dataclasses import replace
-from fractions import Fraction
-from ldp import discrepancy as D, graphs as G
+from ldp import discrepancy as D
 from ldp.graphs import InvariantError, parse_graph
 
-g = parse_graph("[2,4]")
-elim = G._tree_elimination(g)
-halved = (elim[0], elim[1], elim[2][:-1] + [elim[2][-1] / 2])
-data = D._graph_data(g)
+g = parse_graph("[2,4]")  # kappa = (0, 2)
+adj_times = D._adj_times
+# negative coefficients for the incidence (1, 0), and so a negative first
+# adjugate row, while adj.kappa stays right
+negative_d = lambda shape, x: [-1] * len(x) if x[0] == 1 else adj_times(shape, x)
 cases = {
-    "determinant integral": (G, "_tree_elimination", lambda g: halved,
-                             lambda: G.graph_determinant(g)),
-    "delta positive": (D, "_pivot_determinant", lambda p: -7, lambda: D._graph_data(g)),
-    "adjugate integral": (D, "_tree_solve", lambda el, b: [Fraction(1, 2)] * len(b),
-                          lambda: D._graph_data(g)),
-    "e nonnegative": (D, "_graph_data", lambda g: replace(data, e=(-1, 0)),
+    "e nonnegative": (D, "_adj_times", lambda shape, x: [-1] * len(x),
                       lambda: D.discrepancies(g)),
-    "d nonnegative": (D, "_graph_data", lambda g: replace(data, delta=7, adj=[[-1, 0], [0, -1]]),
-                      lambda: D.pair_coefficients(g, (1, 0))),
-    "sweep d nonnegative": (D, "_graph_data",
-                            lambda g: replace(data, delta=7, adj=[[-1, 0], [0, -1]]),
-                            lambda: list(D.incidence_sweep(g, 1))),
+    "d nonnegative": (D, "_adj_times", negative_d, lambda: D.pair_coefficients(g, (1, 0))),
+    "sweep d nonnegative": (D, "_adj_times", negative_d, lambda: list(D.incidence_sweep(g, 1))),
 }
 fired = {}
 for name, (module, attr, fake, call) in cases.items():
@@ -106,9 +166,9 @@ for name, (module, attr, fake, call) in cases.items():
     D._GRAPH_CACHE.clear()
     try:
         call()
-        fired[name] = False
-    except InvariantError:
-        fired[name] = True
+        fired[name] = None
+    except InvariantError as exc:
+        fired[name] = str(exc)
     finally:
         setattr(module, attr, original)
 print(json.dumps({"optimize": sys.flags.optimize, "fired": fired}))
@@ -122,6 +182,11 @@ def test_invariant_checks_survive_python_o():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    names = ["determinant integral", "delta positive", "adjugate integral",
-             "e nonnegative", "d nonnegative", "sweep d nonnegative"]
-    assert json.loads(proc.stdout) == {"optimize": 1, "fired": dict.fromkeys(names, True)}
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    # each case is caught by the check it targets, not by an earlier one
+    assert {name: msg and msg.split(" ")[:2] for name, msg in out["fired"].items()} == {
+        "e nonnegative": ["negative", "discrepancy"],
+        "d nonnegative": ["negative", "coefficient"],
+        "sweep d nonnegative": ["negative", "coefficient"],
+    }
