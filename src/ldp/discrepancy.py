@@ -535,8 +535,10 @@ def select_hunt_divisor(t):
     discrepancy coefficient among star centers and non-(-2) chain vertices."""
     best = None
     for g in t.sorted_components():
+        # the component's own record, read in the canonical vertex order
+        e = dict(zip((v for v, _ in g.vertices), discrepancies(g)))
+        e = [e[v] for v in g.canonical_order()]
         g = g.canonical()
-        e = discrepancies(g)
         if g.is_chain():
             candidates = [
                 (i, v) for i, (v, w) in enumerate(g.vertices) if w >= 3

@@ -234,9 +234,15 @@ class QuadElement:
         return QuadElement(self.field, num.u / n, num.v / n)
 
     def __pow__(self, n):
-        out = self.field.one
-        for _ in range(n):
-            out = out * self
+        if n < 0:
+            return self.field.one / self ** -n
+        out, square = self.field.one, self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __eq__(self, other):

@@ -151,6 +151,21 @@ class WeightedDualGraph:
     def canonical_key(self):
         return self._key
 
+    def canonical_order(self):
+        """This graph's vertex ids in the order of the vertices of
+        canonical(): the chain from its smaller end, or the center and then
+        the branches sorted as in the canonical key."""
+        w = dict(self.vertices)
+        center, paths = self._walk
+        if center is None:
+            if not paths:
+                return []
+            path = paths[0]
+            seq = [w[v] for v in path]
+            return list(path) if seq <= seq[::-1] else list(path[::-1])
+        ordered = sorted(paths, key=lambda b: (len(b), [w[v] for v in b]))
+        return [center] + [v for b in ordered for v in b]
+
     def canonical(self):
         key = self._key
         if key[0] == "empty":

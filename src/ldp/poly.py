@@ -10,7 +10,8 @@ weighting of the variables for weighted-homogeneity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import FpElement
@@ -42,9 +43,14 @@ class ExactPolynomial:
             else:
                 clean.pop(exp, None)
         return ExactPolynomial(
-            field, vars, tuple(sorted(clean.items(), reverse=True)),
-            tuple(weights) if weights else None,
+            field, vars, _sorted_terms(clean), tuple(weights) if weights else None
         )
+
+    def _new(self, clean):
+        """A polynomial of this ring from a term map that is already clean:
+        exponent tuples of the ring's arity, nonzero field elements.  Only
+        sorts; `make` is the constructor for any other input."""
+        return ExactPolynomial(self.field, self.vars, _sorted_terms(clean), self.weights)
 
     @staticmethod
     def zero(field, vars, weights=None):
@@ -68,9 +74,6 @@ class ExactPolynomial:
 
     # -- ring structure ------------------------------------------------------
 
-    def _coeffs(self):
-        return dict(self.terms)
-
     def _same_ring(self, other):
         if isinstance(other, ExactPolynomial):
             if other.vars != self.vars or other.field != self.field:
@@ -79,22 +82,14 @@ class ExactPolynomial:
         return ExactPolynomial.constant(self.field, self.vars, other, self.weights)
 
     def __add__(self, other):
-        other = self._same_ring(other)
-        out = self._coeffs()
-        for exp, c in other.terms:
-            s = out.get(exp, self.field.zero) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return ExactPolynomial.make(self.field, self.vars, out, self.weights)
+        out = dict(self.terms)
+        _accumulate(out, self._same_ring(other).terms)
+        return self._new(_nonzero(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactPolynomial.make(
-            self.field, self.vars, {e: -c for e, c in self.terms}, self.weights
-        )
+        return self._new({e: -c for e, c in self.terms})
 
     def __sub__(self, other):
         return self + (-self._same_ring(other))
@@ -105,27 +100,25 @@ class ExactPolynomial:
     def __mul__(self, other):
         if not isinstance(other, ExactPolynomial):
             c = self.field.coerce(other)
-            return ExactPolynomial.make(
-                self.field, self.vars, {e: k * c for e, k in self.terms}, self.weights
-            )
-        other = self._same_ring(other)
+            return self._new({e: p for e, k in self.terms if (p := k * c)})
         out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, self.field.zero) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return ExactPolynomial.make(self.field, self.vars, out, self.weights)
+        _add_products(out, self.terms, self._same_ring(other).terms)
+        return self._new(_nonzero(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        n = int(n)
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         out = ExactPolynomial.constant(self.field, self.vars, 1, self.weights)
-        for _ in range(int(n)):
-            out = out * self
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __bool__(self):
@@ -160,36 +153,62 @@ class ExactPolynomial:
         for e, c in self.terms:
             if e[i] == k:
                 out[e[:i] + (0,) + e[i + 1 :]] = c
-        return ExactPolynomial.make(self.field, self.vars, out, self.weights)
+        return self._new(out)
 
     def derivative(self, var):
         i = self.vars.index(var)
         out = {}
         for e, c in self.terms:
-            if e[i]:
-                out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
-        return ExactPolynomial.make(self.field, self.vars, out, self.weights)
+            if e[i] and (d := c * e[i]):
+                out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = d
+        return self._new(out)
 
     def substitute(self, assignment):
-        """Replace variables by field elements or polynomials of this ring."""
-        out = ExactPolynomial.zero(self.field, self.vars, self.weights)
-        gens = {
-            v: ExactPolynomial.variable(self.field, self.vars, v, self.weights)
-            for v in self.vars
-        }
-        values = {}
-        for v in self.vars:
-            x = assignment.get(v, gens[v])
-            values[v] = x if isinstance(x, ExactPolynomial) else (
-                ExactPolynomial.constant(self.field, self.vars, x, self.weights)
-            )
+        """Replace variables by field elements or polynomials of this ring,
+        all at once: {X: Y, Y: X} swaps X and Y.  Field-element values fold
+        into the coefficients; polynomial values are multiplied in from one
+        table of powers per variable."""
+        consts, polys = {}, {}
+        for i, v in enumerate(self.vars):
+            if v in assignment:
+                x = assignment[v]
+                if isinstance(x, ExactPolynomial):
+                    polys[i] = self._same_ring(x)
+                else:
+                    consts[i] = self.field.coerce(x)
+        if not self.terms or not (consts or polys):
+            return self
+        one = ExactPolynomial.constant(self.field, self.vars, 1, self.weights)
+        powers = {}
+        for i, x in {**consts, **polys}.items():
+            table = [one if i in polys else self.field.one]
+            for _ in range(max(e[i] for e, _ in self.terms)):
+                table.append(table[-1] * x)
+            powers[i] = table
+        # group the terms by the exponents of the polynomial-valued variables,
+        # with every substituted exponent cleared and the constants folded in
+        groups = {}
         for e, c in self.terms:
-            term = ExactPolynomial.constant(self.field, self.vars, c, self.weights)
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = term * values[v] ** k
-            out = out + term
-        return out
+            rest = list(e)
+            for i in consts:
+                if e[i]:
+                    c = c * powers[i][e[i]]
+                    rest[i] = 0
+            for i in polys:
+                rest[i] = 0
+            group = groups.setdefault(tuple(e[i] for i in polys), {})
+            rest = tuple(rest)
+            group[rest] = group[rest] + c if rest in group else c
+        out = {}
+        for key, group in groups.items():
+            group = _nonzero(group)
+            if group:
+                term = self._new(group)
+                for i, k in zip(polys, key):
+                    if k:
+                        term = term * powers[i][k]
+                _accumulate(out, term.terms)
+        return self._new(_nonzero(out))
 
     def evaluate(self, assignment):
         """Full evaluation to a field element."""
@@ -231,6 +250,32 @@ class ExactPolynomial:
         return " + ".join(bits)
 
 
+def _sorted_terms(clean):
+    return tuple(sorted(clean.items(), reverse=True))
+
+
+def _accumulate(out, terms):
+    """Add (exponent, coefficient) pairs into the term map out; sums that
+    vanish stay until `_nonzero` drops them."""
+    for e, c in terms:
+        out[e] = out[e] + c if e in out else c
+
+
+def _add_products(out, terms1, terms2):
+    """Add the product of every term in terms1 with every term in terms2
+    into the term map out."""
+    add = operator.add
+    for e1, c1 in terms1:
+        for e2, c2 in terms2:
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            out[e] = out[e] + c if e in out else c
+
+
+def _nonzero(termmap):
+    return {e: c for e, c in termmap.items() if c}
+
+
 def _to_fraction(c):
     if isinstance(c, Fraction):
         return c
@@ -241,38 +286,31 @@ def _to_fraction(c):
     raise TypeError(f"cannot lift {c!r}")
 
 
-# -- determinants over a commutative ring (for Sylvester matrices) -------------
+# -- determinants of polynomial matrices (for Sylvester matrices) ---------------
 
 
 def _ring_det(rows):
-    """Determinant by memoized Laplace expansion along the first column;
-    entries live in any commutative ring."""
-    n = len(rows)
-    cols = tuple(range(n))
+    """Determinant by memoized Laplace expansion along the rows, of a square
+    matrix of polynomials from one ring.  Each minor is summed in one term
+    map: a product adds straight into it, signs go onto the entry."""
+    one = rows[0][0]._same_ring(1)
     memo = {}
 
     def minor(r, cs):
         if not cs:
-            return None  # stands for the ring's 1
+            return one
         key = (r, cs)
-        if key in memo:
-            return memo[key]
-        total = None
-        for k, c in enumerate(cs):
-            a = rows[r][c]
-            if not a:
-                continue
-            sub = minor(r + 1, cs[:k] + cs[k + 1 :])
-            contrib = a if sub is None else a * sub
-            if k % 2:
-                contrib = -contrib
-            total = contrib if total is None else total + contrib
-        if total is None:
-            total = rows[r][cs[0]] * 0  # ring zero
-        memo[key] = total
-        return total
+        if key not in memo:
+            out = {}
+            for k, c in enumerate(cs):
+                a = rows[r][c]
+                if a:
+                    sub = minor(r + 1, cs[:k] + cs[k + 1 :])
+                    _add_products(out, (-a if k % 2 else a).terms, sub.terms)
+            memo[key] = one._new(_nonzero(out))
+        return memo[key]
 
-    return minor(0, cols)
+    return minor(0, tuple(range(len(rows))))
 
 
 def resultant(f, g, var):
@@ -345,7 +383,7 @@ def _pth_root(f, var):
         if e[i] % p:
             raise InvariantError(f"{f!r} is not a polynomial in {var}^{p}")
         out[e[:i] + (e[i] // p,) + e[i + 1 :]] = c
-    return ExactPolynomial.make(f.field, f.vars, out, f.weights)
+    return f._new(out)
 
 
 def squarefree_part(f, var):
@@ -390,7 +428,7 @@ def _dehomogenize(f, u, v):
         ee[iu] -= i
         ee[iv] = 0
         core[tuple(ee)] = c
-    return ExactPolynomial.make(f.field, f.vars, core, f.weights), i, k
+    return f._new(core), i, k
 
 
 def _rehomogenize(h, u, v, i, k):
@@ -403,7 +441,7 @@ def _rehomogenize(h, u, v, i, k):
         ee[iu] += i
         ee[iv] = d - e[iu] + k
         out[tuple(ee)] = c
-    return ExactPolynomial.make(h.field, h.vars, out, h.weights)
+    return h._new(out)
 
 
 def binary_squarefree(f, u, v):

@@ -9,6 +9,7 @@ nonzero when any comparison fails.
 import itertools
 import json
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -27,6 +28,7 @@ class VerificationOutcome:
     group: int
     expected: object
     actual: object
+    seconds: float  # wall time of the whole group: its checks are computed together
 
     @property
     def status(self):
@@ -374,23 +376,28 @@ def expected_values():
 
 
 def compute_actuals():
+    """Every check's value and group, and each group's wall time in seconds."""
     actual = {}
     groups = {}
+    seconds = {}
     for group, fn in _GROUPS:
-        for check_id, value in fn().items():
+        start = time.perf_counter()
+        values = fn()
+        seconds[group] = time.perf_counter() - start
+        for check_id, value in values.items():
             actual[check_id] = value
             groups[check_id] = group
-    return actual, groups
+    return actual, groups, seconds
 
 
 def run_checks():
     """All verification outcomes, ordered by check id."""
     expected = expected_values()
-    actual, groups = compute_actuals()
+    actual, groups, seconds = compute_actuals()
     missing = sorted(set(expected) ^ set(actual))
     if missing:
         raise AssertionError(f"check list out of sync: {missing}")
     return [
-        VerificationOutcome(cid, groups[cid], expected[cid], actual[cid])
+        VerificationOutcome(cid, groups[cid], expected[cid], actual[cid], seconds[groups[cid]])
         for cid in sorted(actual)
     ]

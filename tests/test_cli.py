@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ldp import cli, graphs
+from ldp import cli, discrepancy, graphs, verify
 
 
 def run(capsys, *argv):
@@ -70,6 +71,21 @@ def test_report_du_val_has_no_hunt_divisor(capsys):
 def test_hunt_star_example(capsys):
     data = run_json(capsys, "hunt", "[2;[2],[3],[5]]")
     assert Fraction(data["coefficient"]) == Fraction(28, 29)
+
+
+@pytest.mark.parametrize("notation, canonical", [
+    ("[5,2,3]", "[3,2,5]"),
+    ("[3;[2,5],[2],[4]]", "[3;[2],[4],[2,5]]"),
+    ("[3,2]+[2,2,3]+[4;[3,2],[2],[2]]", "[2,3]+[2,2,3]+[4;[2],[2],[3,2]]"),
+])
+def test_report_keeps_one_record_per_component(capsys, notation, canonical):
+    discrepancy._GRAPH_CACHE.clear()
+    data = run_json(capsys, "report", notation)
+    assert len(discrepancy._GRAPH_CACHE) == len(graphs.parse_dynkin(notation).components)
+    # the hunt divisor read through the component's own record is the one
+    # found on the type written in canonical order
+    assert data["hunt"] == run_json(capsys, "report", canonical)["hunt"]
+    assert run_json(capsys, "hunt", notation) == data["hunt"]
 
 
 def test_lct_reports_exactness(capsys):
@@ -205,6 +221,36 @@ def test_weighted_model_checks(capsys):
         assert member["smooth"] is True
 
 
+def test_verify_paper_json_adds_seconds_and_keeps_the_old_keys(capsys, monkeypatch):
+    expected = verify.expected_values()
+    # group 5 takes seconds; its pinned values stand in for its computation
+    sweep_ids = [cid for cid in expected if cid.startswith("incidence-")]
+    groups = tuple(
+        (g, (lambda: {cid: expected[cid] for cid in sweep_ids}) if g == 5 else fn)
+        for g, fn in verify._GROUPS
+    )
+    monkeypatch.setattr(verify, "_GROUPS", groups)
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data) == len(expected) == 39
+    by_group = {}
+    for entry in data:
+        assert list(entry) == ["check_id", "group", "expected", "actual", "status", "seconds"]
+        assert entry["status"] == "Pass"
+        assert entry["seconds"] >= 0
+        by_group.setdefault(entry["group"], set()).add(entry["seconds"])
+    # a check reports the time of its whole group
+    assert all(len(times) == 1 for times in by_group.values())
+    # without the new key, the text is the one written before it existed
+    old = [
+        {"check_id": o.check_id, "group": o.group, "expected": o.expected,
+         "actual": o.actual, "status": o.status}
+        for o in verify.run_checks()
+    ]
+    assert re.sub(r',\n  "seconds": [^\n]*', "", out) == json.dumps(old, indent=1) + "\n"
+
+
 def test_parser_is_reused_without_leaking_state(capsys):
     assert cli.build_parser() is cli.build_parser()
     narrow = run_json(capsys, "table1", "--n", "1..1", "--m", "1..1", "--l", "1")
@@ -255,3 +301,17 @@ def test_lemma42_bounds_the_number_of_vectors(capsys):
     code, _, err = run(capsys, "lemma42", "[2^36]", "--max-a", "5")
     assert code == 2 and "749397" in err
     assert cli._sweep_size(36, 4) == 91389 <= cli.MAX_SWEEP_VECTORS
+
+
+def test_lemma42_bounds_vectors_times_vertices(capsys):
+    # 2000 vectors, far below the vector bound, of 2000 entries each
+    code, out, err = run(capsys, "lemma42", "[2^2000]", "--max-a", "1")
+    assert code == 2
+    assert out == ""
+    assert "4000000 cells" in err and str(cli.MAX_SWEEP_CELLS) in err
+    # 1000 * 1000 cells sit at the bound, 1001 * 1001 are one row past it
+    assert cli._sweep_size(1000, 1) * 1000 == cli.MAX_SWEEP_CELLS
+    code, _, err = run(capsys, "lemma42", "[2^1001]", "--max-a", "1")
+    assert code == 2 and "1002001 cells" in err
+    # the largest sweep the vector bound allows on 6 vertices passes the cell bound
+    assert cli._sweep_size(6, 16) * 6 <= cli.MAX_SWEEP_CELLS

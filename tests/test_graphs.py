@@ -111,6 +111,30 @@ def test_star_negative_definiteness_matches_sympy(c, branches):
     assert is_negative_definite(g) == expected
 
 
+@given(
+    st.one_of(
+        st.lists(weights, min_size=1, max_size=6).map(chain),
+        st.builds(star, weights, st.lists(st.lists(weights, min_size=1, max_size=2),
+                                          min_size=3, max_size=3)),
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_canonical_order_maps_a_graph_onto_its_canonical_form(g, rng):
+    # the same graph under shuffled vertex ids and vertex order
+    ids = [v for v, _ in g.vertices]
+    names = dict(zip(ids, rng.sample([f"u{i}" for i in range(len(ids))], len(ids))))
+    verts = [(names[v], w) for v, w in g.vertices]
+    rng.shuffle(verts)
+    g = graphs.WeightedDualGraph(
+        tuple(verts), frozenset(frozenset(names[v] for v in e) for e in g.edges)
+    )
+    canon = g.canonical()
+    to_canon = dict(zip(g.canonical_order(), (v for v, _ in canon.vertices)))
+    assert [g.weight_map[v] for v in to_canon] == [w for _, w in canon.vertices]
+    assert {frozenset(map(to_canon.get, e)) for e in g.edges} == set(canon.edges)
+
+
 def test_pinned_determinants():
     assert graph_determinant(parse_graph("[2^4]")) == 5
     assert graph_determinant(parse_graph("[2,4]")) == 7

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldp.fields import QQ, PrimeField, QuadraticExtension
@@ -151,6 +151,127 @@ def test_substitute_and_evaluate():
     f = s**2 + t
     g = f.substitute({"t": s + Poly.constant(QQ, ("s", "t"), 1)})
     assert g.evaluate({"s": Fraction(2)}) == 7
+
+
+# -- the kernel against sympy, over QQ and F_p ------------------------------------
+
+FIELDS = (QQ, PrimeField(5), PrimeField(7))
+NAMES = ("x", "y", "z", "w")
+
+fields = st.sampled_from(FIELDS)
+sparse_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4), st.integers(-5, 5), max_size=4
+)
+
+
+def _poly(field, terms, nvars):
+    """The polynomial with these terms in the first nvars of NAMES; exponents
+    past nvars are dropped."""
+    out = {}
+    for e, c in terms.items():
+        out[e[:nvars]] = out.get(e[:nvars], 0) + c
+    return Poly.make(field, NAMES[:nvars], out)
+
+
+def _sympy_field(field):
+    return {"domain": "QQ"} if field == QQ else {"modulus": field.characteristic}
+
+
+def _sympy_poly(p, gens=None):
+    """p as a sympy Poly over the same field, in gens (default: all of p's
+    variables, in order)."""
+    symbols = sympy.symbols(p.vars)
+    gens = symbols if gens is None else [symbols[p.vars.index(v)] for v in gens]
+    return sympy.Poly(_to_sympy(p, symbols), *gens, **_sympy_field(p.field))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(3, 4), sparse_terms, sparse_terms, st.integers(0, 4))
+def test_products_and_powers_match_sympy(field, nvars, t1, t2, k):
+    f, g = _poly(field, t1, nvars), _poly(field, t2, nvars)
+    assert _sympy_poly(f * g) == _sympy_poly(f) * _sympy_poly(g)
+    assert _sympy_poly(f**k) == _sympy_poly(f) ** k
+    assert _sympy_poly(f + g) == _sympy_poly(f) + _sympy_poly(g)
+    assert _sympy_poly(f - g) == _sympy_poly(f) - _sympy_poly(g)
+
+
+# each variable keeps its place, takes a constant, or takes a polynomial:
+# another variable (so permutations such as a swap), or a drawn polynomial
+values = st.one_of(
+    st.none(),
+    st.integers(-4, 4),
+    st.sampled_from(NAMES[:3]),
+    sparse_terms,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, sparse_terms, st.tuples(values, values, values))
+def test_substitute_matches_sympy(field, terms, choice):
+    f = _poly(field, terms, 3)
+    symbols = sympy.symbols(f.vars)
+    gens = dict(zip(f.vars, Poly.gens(field, f.vars)))
+    ours, theirs = {}, {}
+    for v, s, x in zip(f.vars, symbols, choice):
+        if x is None:
+            continue
+        if isinstance(x, int):
+            ours[v], theirs[s] = x, x
+        elif isinstance(x, str):
+            ours[v], theirs[s] = gens[x], symbols[f.vars.index(x)]
+        else:
+            value = _poly(field, x, 3)
+            ours[v], theirs[s] = value, _to_sympy(value, symbols)
+    expected = sympy.sympify(_to_sympy(f, symbols)).xreplace(theirs)
+    assert _sympy_poly(f.substitute(ours)) == sympy.Poly(expected, *symbols, **_sympy_field(field))
+
+
+def test_substitute_is_simultaneous():
+    for field in FIELDS:
+        x, y, z = Poly.gens(field, NAMES[:3])
+        f = x**2 * y + 3 * y - z
+        assert f.substitute({"x": y, "y": x}) == y**2 * x + 3 * x - z
+        assert f.substitute({"x": y, "y": x, "z": 2}) == y**2 * x + 3 * x - 2
+        assert f.substitute({"x": x + y, "y": 0}) == -z
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, sparse_terms, sparse_terms)
+def test_multivariate_resultant_matches_sympy(field, t1, t2):
+    f, g = _poly(field, t1, 3), _poly(field, t2, 3)
+    assume(f.degree("x") >= 1 and g.degree("x") >= 1)
+    ours = resultant(f, g, "x")
+    assert ours.degree("x") <= 0
+    # sympy eliminates the first generator, x; same sign convention
+    theirs = _sympy_poly(f).resultant(_sympy_poly(g)).as_expr()
+    assert _sympy_poly(ours, ("y", "z")) == sympy.Poly(theirs, *sympy.symbols("y z"),
+                                                       **_sympy_field(field))
+
+
+def test_powers_by_squaring_match_repeated_products():
+    K = QuadraticExtension(QQ, 11, -1)
+    r = K.generator + 2
+    x, y = Poly.gens(PrimeField(7), ("x", "y"))
+    f = x + 3 * y + 1
+    acc_r, acc_f = K.one, Poly.constant(PrimeField(7), ("x", "y"), 1)
+    for n in range(13):
+        assert r**n == acc_r and f**n == acc_f
+        acc_r, acc_f = acc_r * r, acc_f * f
+    assert r**-3 * r**3 == K.one
+    with pytest.raises(ValueError, match="negative power"):
+        f**-1
+
+
+def test_make_validates_outside_input():
+    with pytest.raises(ValueError, match="arity"):
+        Poly.make(QQ, ("x", "y"), {(1,): 1})
+    with pytest.raises(ValueError, match="arity"):
+        Poly.make(PrimeField(5), ("x",), {(1, 0): 1})
+    with pytest.raises(ValueError, match="negative"):
+        Poly.make(QQ, ("x", "y"), {(1, -1): 1})
+    # a term map from outside is coerced and summed, and zeros are dropped
+    f = Poly.make(PrimeField(5), ("x",), {(1,): 3, ("1",): 2, (0,): "1/2"})
+    assert f.terms == (((0,), PrimeField(5).coerce(3)),)
 
 
 def test_poly_json_roundtrip():

@@ -28,8 +28,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# workloads whose per-layer numbers are recorded: the dual-graph kernel
-TRACED = ("large_graphs",)
+# workloads whose per-layer numbers are recorded: the dual-graph kernel, and
+# the verify-paper groups, where the polynomial layer runs
+TRACED = ("large_graphs", "paper_checks")
 
 
 def run(root, workload, seed, seconds, trace):
