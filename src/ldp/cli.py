@@ -245,8 +245,16 @@ def cmd_table1(args):
     _emit({"count": len(out), "instances": out})
 
 
+# pencil's largest characteristic: the members are found by trying every
+# residue mod p, and the field checks p by trial division, so the time grows
+# linearly in p; --char 1000003 takes 0.13-0.29 s (Python 3.11, 2 cores)
+MAX_PENCIL_CHAR = 1_000_003
+
+
 def cmd_pencil(args):
     p = args.char
+    if p > MAX_PENCIL_CHAR:
+        raise ValueError(f"--char {p}: above the bound of {MAX_PENCIL_CHAR}")
     field = QQ if p == 0 else PrimeField(p)
     locus = pencil.pencil_singular_locus(field)
     double = pencil.quadratic_factor_double_root(field)
@@ -257,11 +265,10 @@ def cmd_pencil(args):
         "members": [],
     }
     if p:
-        f = PrimeField(p)
         # rational roots of the quadratic factor t^2 + 11st - s^2 at s = 1
         for t0 in range(p):
             if (t0 * t0 + 11 * t0 - 1) % p == 0:
-                rep = pencil.classify_singular_member(f, (1, t0))
+                rep = pencil.classify_singular_member(field, (1, t0))
                 data["members"].append(
                     {"parameter": [1, t0], "kind": rep.kind}
                 )

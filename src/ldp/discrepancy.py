@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +30,7 @@ from functools import cached_property
 from .graphs import (
     InvariantError,
     NotNegativeDefiniteError,
-    _continuants,
+    _Shape,
     format_graph,
     graph_determinant,
     is_negative_definite,
@@ -69,56 +68,6 @@ def _require_usable(g):
     if not is_negative_definite(g):
         raise NotNegativeDefiniteError(f"{format_graph(g)} is not negative definite")
     return _graph_data(g)
-
-
-class _Shape:
-    """Vertex positions of a chain or star, and the subgraph determinants
-    (det of -M on a vertex subset) that the closed-form displays and the
-    adjugate read.
-
-    Chain: `order` lists the positions end to end, `at[p]` is the index of
-    position p in it, and `pre[k]` / `suf[k]` are the determinants of the
-    first k vertices of the order and of all but the first k.
-
-    Star: `center`, `branches` (the positions of each branch from the center
-    outward), and `at[p]` = (branch, index from the center outward) for
-    every other position p; `d[b]` is the determinant of branch b,
-    `outer[b][k]` that of branch b from its k-th vertex outward, and
-    `trunc[b][k]` that of the whole graph with branch b cut down to its
-    first k vertices.
-    """
-
-    def __init__(self, g):
-        index = {v: i for i, (v, _) in enumerate(g.vertices)}
-        weights = [w for _, w in g.vertices]
-        center, paths = g._walk
-        self.chain = center is None
-        if self.chain:
-            self.order = [index[v] for v in paths[0]]
-            self.at = {p: k for k, p in enumerate(self.order)}
-            ws = [weights[p] for p in self.order]
-            self.pre = _continuants(ws)
-            self.suf = _continuants(ws[::-1])[::-1]
-            return
-        c = self.center = index[center]
-        branches = self.branches = [[index[v] for v in br] for br in paths]
-        self.at = {p: (b, k) for b, br in enumerate(branches) for k, p in enumerate(br)}
-        self.outer = [_continuants([weights[p] for p in br][::-1])[::-1] for br in branches]
-        self.d = [s[0] for s in self.outer]
-        self.trunc = []
-        for b, br in enumerate(branches):
-            s, t = (self.outer[j] for j in range(3) if j != b)
-            # trunc[b][0] expands along the center, then joining two branches;
-            # trunc[b][k] along the k-th vertex of branch b, a leaf there:
-            # w * trunc[b][k - 1] - trunc[b][k - 2], where one step below 0
-            # (the center cut away too) leaves the other two branches
-            below = s[0] * t[0]
-            cur = weights[c] * s[0] * t[0] - s[1] * t[0] - s[0] * t[1]
-            row = [cur]
-            for p in br:
-                below, cur = cur, weights[p] * cur - below
-                row.append(cur)
-            self.trunc.append(row)
 
 
 def _adj_times(shape, x):
@@ -182,36 +131,25 @@ class _GraphData:
         return [_adj_times(self.shape, [int(i == j) for i in range(n)]) for j in range(n)]
 
 
-# Records by literal vertex order, not canonical form: their vectors are
-# indexed by g.vertices.  Least recently used records go first; the bound is
-# above the 461 distinct graphs of the reports on the Table 1 types with
-# n, m <= 14.
-_GRAPH_CACHE = OrderedDict()
-_GRAPH_CACHE_SIZE = 1024
-
-
 def _graph_data(g):
-    """The _GraphData of a negative definite graph, cached.
+    """The _GraphData of a negative definite graph, built on first use and
+    kept on the graph object itself, never shared by canonical form: its
+    vectors are indexed by g.vertices.
 
-    delta comes from the integer tree elimination of `graphs`, the rest from
-    the continuants of the shape: adj.kappa in O(n), and the adjugate, when
-    asked for, in O(n^2).
+    delta and the shape come from `graphs`, adj.kappa from the continuants
+    of the shape in O(n), and the adjugate, when asked for, in O(n^2).
     """
-    key = (g.vertices, g.edges)
-    data = _GRAPH_CACHE.get(key)
-    if data is not None:
-        _GRAPH_CACHE.move_to_end(key)
-        return data
-    delta = graph_determinant(g)
-    shape = _Shape(g)
-    kappa = tuple(w - 2 for _, w in g.vertices)
-    adj_kappa = tuple(_adj_times(shape, kappa))
-    if min(adj_kappa) < 0:
-        raise InvariantError(f"negative discrepancy {adj_kappa}/{delta} on {format_graph(g)}")
-    e = tuple(Fraction(x, delta) for x in adj_kappa)
-    data = _GRAPH_CACHE[key] = _GraphData(shape, delta, kappa, adj_kappa, e)
-    if len(_GRAPH_CACHE) > _GRAPH_CACHE_SIZE:
-        _GRAPH_CACHE.popitem(last=False)
+    data = vars(g).get("_data")
+    if data is None:
+        delta = graph_determinant(g)
+        shape = g._shape
+        kappa = tuple(w - 2 for _, w in g.vertices)
+        adj_kappa = tuple(_adj_times(shape, kappa))
+        if min(adj_kappa) < 0:
+            raise InvariantError(f"negative discrepancy {adj_kappa}/{delta} on {format_graph(g)}")
+        e = tuple(Fraction(x, delta) for x in adj_kappa)
+        # stored the way a cached_property stores, past the frozen dataclass
+        data = vars(g)["_data"] = _GraphData(shape, delta, kappa, adj_kappa, e)
     return data
 
 

@@ -94,8 +94,9 @@ class WeightedDualGraph:
 
     # -- structure helpers ------------------------------------------------
     #
-    # The walk (_walk), the canonical key (_key) and the determinant (_det)
-    # are kept on the graph; the public methods hand out copies.
+    # The walk (_walk), the canonical key (_key), the subgraph determinants
+    # (_shape) and the determinant (_det) are kept on the graph, each built
+    # once; the public methods hand out copies.
 
     @cached_property
     def _key(self):
@@ -110,13 +111,28 @@ class WeightedDualGraph:
         return ("star", w[center], tuple(seq for _, seq in bw))
 
     @cached_property
-    def _det(self):
-        """det(-M), or None when -M is not positive definite: one integer
-        elimination per graph, shared by every test and determinant."""
-        return _tree_determinant(self) if self.vertices else 1
+    def _shape(self):
+        return _Shape(self)
 
-    def adjacency(self):
-        return _adjacency(self)
+    @cached_property
+    def _det(self):
+        """det(-M), or None when -M is not positive definite.
+
+        Eliminating -M from the leaves to the root (a star's center, a
+        chain's end), the pivot at a vertex is the determinant of the subtree
+        below it over the product of its children's, so -M is positive
+        definite exactly when every subtree determinant is > 0, and det(-M)
+        is the root's.  Below the root every subtree is a path, whose
+        determinant is a continuant; with every weight >= 2 the continuants
+        of a path increase from 1, so only the root can fail.  The shape has
+        the root's determinant: a chain's whole continuant, or a star's
+        truncation that keeps every branch whole.
+        """
+        if not self.vertices:
+            return 1
+        shape = self._shape
+        delta = shape.pre[-1] if shape.chain else shape.trunc[0][-1]
+        return delta if delta > 0 else None
 
     @property
     def weight_map(self):
@@ -131,20 +147,6 @@ class WeightedDualGraph:
     def center(self):
         """The degree-3 vertex of a star, or None for chains."""
         return self._walk[0]
-
-    def chain_order(self):
-        """Vertex ids of a chain listed end to end."""
-        center, paths = self._walk
-        if center is not None:
-            raise ValueError("not a chain")
-        return list(paths[0]) if paths else []
-
-    def star_parts(self):
-        """(center id, [branch ids from center outward] x3) of a star."""
-        c, branches = self._walk
-        if c is None:
-            raise ValueError("not a star")
-        return c, [list(b) for b in branches]
 
     # -- canonical form ----------------------------------------------------
 
@@ -473,30 +475,54 @@ def _continuants(weights):
     return out
 
 
-def _tree_determinant(g):
-    """det(-M) of a nonempty graph by one integer elimination from the leaves
-    to the root, or None when -M is not positive definite.
+class _Shape:
+    """Vertex positions of a nonempty chain or star, and the subgraph
+    determinants (det of -M on a vertex subset) that the determinant, the
+    closed-form displays and the adjugate read.
 
-    The root is the center of a star, or the first vertex of a chain's walk.
-    The elimination pivot at a vertex is the determinant of the subtree
-    below it over the product of its children's, so -M is positive definite
-    exactly when every subtree determinant is > 0, and det(-M) is the
-    root's.  Below the root every subtree is a path, whose determinant is a
-    continuant; with every weight >= 2 the continuants of a path increase
-    from 1, so only the root can fail.  At a star's center the determinant
-    expands as w_c d1 d2 d3 - sum over the branches of d_b' times the other
-    two d, where d_b is the determinant of branch b and d_b' that of branch
-    b without its vertex next to the center.
+    Chain: `order` lists the positions end to end, `at[p]` is the index of
+    position p in it, and `pre[k]` / `suf[k]` are the determinants of the
+    first k vertices of the order and of all but the first k.
+
+    Star: `center`, `branches` (the positions of each branch from the center
+    outward), and `at[p]` = (branch, index from the center outward) for
+    every other position p; `d[b]` is the determinant of branch b,
+    `outer[b][k]` that of branch b from its k-th vertex outward, and
+    `trunc[b][k]` that of the whole graph with branch b cut down to its
+    first k vertices.
     """
-    w = dict(g.vertices)
-    center, paths = g._walk
-    # each path from its leaf inward, so that [-1] is the whole path
-    dets = [_continuants([w[v] for v in reversed(path)]) for path in paths]
-    if center is None:
-        return dets[0][-1]
-    (d1, d2, d3), (e1, e2, e3) = ([s[k] for s in dets] for k in (-1, -2))
-    delta = w[center] * d1 * d2 * d3 - e1 * d2 * d3 - d1 * e2 * d3 - d1 * d2 * e3
-    return delta if delta > 0 else None
+
+    def __init__(self, g):
+        index = {v: i for i, (v, _) in enumerate(g.vertices)}
+        weights = [w for _, w in g.vertices]
+        center, paths = g._walk
+        self.chain = center is None
+        if self.chain:
+            self.order = [index[v] for v in paths[0]]
+            self.at = {p: k for k, p in enumerate(self.order)}
+            ws = [weights[p] for p in self.order]
+            self.pre = _continuants(ws)
+            self.suf = _continuants(ws[::-1])[::-1]
+            return
+        c = self.center = index[center]
+        branches = self.branches = [[index[v] for v in br] for br in paths]
+        self.at = {p: (b, k) for b, br in enumerate(branches) for k, p in enumerate(br)}
+        self.outer = [_continuants([weights[p] for p in br][::-1])[::-1] for br in branches]
+        self.d = [s[0] for s in self.outer]
+        self.trunc = []
+        for b, br in enumerate(branches):
+            s, t = (self.outer[j] for j in range(3) if j != b)
+            # trunc[b][0] expands along the center, then joining two branches;
+            # trunc[b][k] along the k-th vertex of branch b, a leaf there:
+            # w * trunc[b][k - 1] - trunc[b][k - 2], where one step below 0
+            # (the center cut away too) leaves the other two branches
+            below = s[0] * t[0]
+            cur = weights[c] * s[0] * t[0] - s[1] * t[0] - s[0] * t[1]
+            row = [cur]
+            for p in br:
+                below, cur = cur, weights[p] * cur - below
+                row.append(cur)
+            self.trunc.append(row)
 
 
 def is_negative_definite(g):

@@ -181,40 +181,36 @@ def _identity_checks():
 
 
 def _sweep_graphs(max_vertices=6, max_weight=5):
+    """Every negative definite chain and star of the sweep domain, once per
+    canonical form.  A generator: each graph keeps its own record, so only
+    the one being swept is held.  The candidates come in lexicographic order
+    of their weights, so the first of each canonical form is already in
+    canonical vertex order."""
     seen = set()
-    out = []
 
-    def keep(g):
-        if not graphs.is_negative_definite(g):
-            return
-        key = g.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(g.canonical())
+    def candidates():
+        for n in range(1, max_vertices + 1):
+            for ws in itertools.product(range(2, max_weight + 1), repeat=n):
+                yield graphs.chain(ws)
+        for total in range(4, max_vertices + 1):
+            for l1 in range(1, total - 2):
+                for l2 in range(l1, total - 1 - l1):
+                    l3 = total - 1 - l1 - l2
+                    if l3 < l2:
+                        continue
+                    for ws in itertools.product(range(2, max_weight + 1), repeat=total):
+                        rest = ws[1:]
+                        yield graphs.star(ws[0], (rest[:l1], rest[l1 : l1 + l2], rest[l1 + l2 :]))
 
-    for n in range(1, max_vertices + 1):
-        for ws in itertools.product(range(2, max_weight + 1), repeat=n):
-            keep(graphs.chain(ws))
-    for total in range(4, max_vertices + 1):
-        for l1 in range(1, total - 2):
-            for l2 in range(l1, total - 1 - l1):
-                l3 = total - 1 - l1 - l2
-                if l3 < l2:
-                    continue
-                for ws in itertools.product(
-                    range(2, max_weight + 1), repeat=total
-                ):
-                    center = ws[0]
-                    rest = ws[1:]
-                    b1 = rest[:l1]
-                    b2 = rest[l1 : l1 + l2]
-                    b3 = rest[l1 + l2 :]
-                    keep(graphs.star(center, (b1, b2, b3)))
-    return out
+    for g in candidates():
+        if graphs.is_negative_definite(g):
+            key = g.canonical_key()
+            if key not in seen:
+                seen.add(key)
+                yield g
 
 
 def _incidence_checks():
-    gs = _sweep_graphs()
     closed_form_cases = 0
     closed_form_mismatches = 0
     admissible = set()
@@ -222,7 +218,7 @@ def _incidence_checks():
     monotone_cases = 0
     monotone_violations = 0
 
-    for g in gs:
+    for g in _sweep_graphs():
         n = len(g.vertices)
         data = discrepancy._graph_data(g)
         # a unit increment at j changes delta*<a, b> by 2 (adj.a)_j + base[j]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ldp import cli, discrepancy, graphs, verify
+from ldp import cli, graphs, verify
 
 
 def run(capsys, *argv):
@@ -78,10 +78,11 @@ def test_hunt_star_example(capsys):
     ("[3;[2,5],[2],[4]]", "[3;[2],[4],[2,5]]"),
     ("[3,2]+[2,2,3]+[4;[3,2],[2],[2]]", "[2,3]+[2,2,3]+[4;[2],[2],[3,2]]"),
 ])
-def test_report_keeps_one_record_per_component(capsys, notation, canonical):
-    discrepancy._GRAPH_CACHE.clear()
+def test_report_keeps_one_record_per_component(capsys, watch, notation, canonical):
     data = run_json(capsys, "report", notation)
-    assert len(discrepancy._GRAPH_CACHE) == len(graphs.parse_dynkin(notation).components)
+    comps = watch.types[notation].components
+    assert len(watch.records) == len(comps)
+    assert [vars(g)["_data"] for g in comps] == watch.records
     # the hunt divisor read through the component's own record is the one
     # found on the type written in canonical order
     assert data["hunt"] == run_json(capsys, "report", canonical)["hunt"]
@@ -204,6 +205,20 @@ def test_pencil_bad_characteristic(capsys):
     code, _, err = run(capsys, "pencil", "--char", "3")
     assert code == 2
     assert "error" in err
+
+
+def test_pencil_takes_the_characteristic_at_the_bound(capsys):
+    data = run_json(capsys, "pencil", "--char", str(cli.MAX_PENCIL_CHAR))
+    assert data["characteristic"] == cli.MAX_PENCIL_CHAR
+
+
+@pytest.mark.parametrize("value", [str(cli.MAX_PENCIL_CHAR + 1), "1000000000000000003"])
+def test_pencil_refuses_a_characteristic_above_the_bound(capsys, monkeypatch, value):
+    # refused before the field's primality test, which is trial division
+    monkeypatch.setattr(cli, "PrimeField", None)
+    code, out, err = run(capsys, "pencil", "--char", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --char {value}: above the bound of {cli.MAX_PENCIL_CHAR}\n"
 
 
 def test_crossratio_cores(capsys):

@@ -188,7 +188,7 @@ def _display_branch(g, a, v):
     support = [i for i, x in enumerate(a) if x]
     if g.is_chain():
         return "chain, one point" if len(support) == 1 else "chain, two points"
-    center, branches = g.star_parts()
+    center, branches = g._walk
     c = ids.index(center)
     place = {ids.index(x): (b, k) for b, br in enumerate(branches) for k, x in enumerate(br)}
     if len(support) == 1:

@@ -6,21 +6,25 @@ of the subgraph determinants of the chain or star; `linalg.int_det` and
 `linalg.solve` are the dense references here.
 """
 
+import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ldp import cli, linalg
+from ldp import cli, linalg, verify
 from ldp import discrepancy as D
 from ldp.graphs import (
     NotNegativeDefiniteError,
     WeightedDualGraph,
+    _adjacency,
     chain,
     graph_determinant,
     intersection_matrix,
@@ -76,7 +80,7 @@ def test_tree_kernel_matches_dense_linear_algebra(g):
 def _path(g, u, v):
     """Positions on the u-v path of the tree g, by a walk from u."""
     ids = [x for x, _ in g.vertices]
-    adj = g.adjacency()
+    adj = _adjacency(g)
     parent = {ids[u]: None}
     stack = [ids[u]]
     while stack:
@@ -115,30 +119,43 @@ def test_product_formula_adjugate_matches_dense_linear_algebra(g, data):
     assert list(D.pair_coefficients(g, a).d) == linalg.solve(m, [-x for x in a])
 
 
-def test_report_and_det_leave_the_adjugate_unbuilt(capsys):
-    D._GRAPH_CACHE.clear()
-    for argv in (
-        ["report", "2[2^4]+[2;[2],[3],[5]]"],
-        ["report", "[3;[2^40],[2^40],[2^40]]+[2,5,3]"],
-        ["det", "[2^7,3]+[4;[2],[3],[3,2]]"],
-    ):
-        assert cli.main(argv) == 0
-    records = list(D._GRAPH_CACHE.values())
-    assert len(records) == 4
-    assert not any("adj" in vars(r) for r in records)
+def test_report_and_det_leave_the_adjugate_unbuilt(capsys, watch):
+    reports = ("2[2^4]+[2;[2],[3],[5]]", "[3;[2^40],[2^40],[2^40]]+[2,5,3]")
+    for notation in reports:
+        assert cli.main(["report", notation]) == 0
+    # one record per component object, kept on it; 2[2^4] is one object twice
+    comps = {id(g): g for notation in reports for g in watch.types[notation].components}
+    assert len(comps) == 4
+    assert {id(r) for r in watch.records} == {id(vars(g)["_data"]) for g in comps.values()}
+    assert len(watch.records) == 4
+    assert not any("adj" in vars(r) for r in watch.records)
+    # det reads the graph's determinant alone
+    assert cli.main(["det", "[2^7,3]+[4;[2],[3],[3,2]]"]) == 0
+    assert len(watch.records) == 4
     assert cli.main(["lemma42", "[2,4]", "--max-a", "1"]) == 0
     capsys.readouterr()
-    assert any("adj" in vars(r) for r in D._GRAPH_CACHE.values())
+    (g,) = watch.types["[2,4]"].components
+    assert "adj" in vars(vars(g)["_data"])
+    assert len(watch.records) == 5
 
 
-def test_record_cache_is_bounded():
-    D._GRAPH_CACHE.clear()
-    first = chain([2, 3])
+def test_sweep_graphs_yields_each_canonical_graph_once_and_lets_it_go():
+    sweep = verify._sweep_graphs()
+    assert inspect.isgenerator(sweep)
+    first = next(sweep)
     D._graph_data(first)
-    for k in range(D._GRAPH_CACHE_SIZE):
-        D._graph_data(chain([2] * (k % 40 + 1) + [4 + k // 40]))
-    assert len(D._GRAPH_CACHE) == D._GRAPH_CACHE_SIZE
-    assert (first.vertices, first.edges) not in D._GRAPH_CACHE
+    gone = weakref.ref(first)
+    keys = [first.canonical_key()]
+    del first
+    for g in sweep:
+        assert gone() is None  # the sweep holds no graph it has yielded
+        c = g.canonical()
+        assert (g.vertices, g.edges) == (c.vertices, c.edges)
+        keys.append(g.canonical_key())
+    assert len(keys) == len(set(keys)) == 8270
+    # pinned: the keys of the domain group 5 sweeps, in the order it sweeps them
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == "17ca7e35962a0d4ef1750f30ea4c6509ea577fed2f0068bacd5fdf4b9050d98a"
 
 
 # Each case swaps one name for a fake that breaks one guaranteed identity and
@@ -148,24 +165,22 @@ import json, sys
 from ldp import discrepancy as D
 from ldp.graphs import InvariantError, parse_graph
 
-g = parse_graph("[2,4]")  # kappa = (0, 2)
 adj_times = D._adj_times
 # negative coefficients for the incidence (1, 0), and so a negative first
 # adjugate row, while adj.kappa stays right
 negative_d = lambda shape, x: [-1] * len(x) if x[0] == 1 else adj_times(shape, x)
 cases = {
     "e nonnegative": (D, "_adj_times", lambda shape, x: [-1] * len(x),
-                      lambda: D.discrepancies(g)),
-    "d nonnegative": (D, "_adj_times", negative_d, lambda: D.pair_coefficients(g, (1, 0))),
-    "sweep d nonnegative": (D, "_adj_times", negative_d, lambda: list(D.incidence_sweep(g, 1))),
+                      lambda g: D.discrepancies(g)),
+    "d nonnegative": (D, "_adj_times", negative_d, lambda g: D.pair_coefficients(g, (1, 0))),
+    "sweep d nonnegative": (D, "_adj_times", negative_d, lambda g: list(D.incidence_sweep(g, 1))),
 }
 fired = {}
 for name, (module, attr, fake, call) in cases.items():
     original = getattr(module, attr)
     setattr(module, attr, fake)
-    D._GRAPH_CACHE.clear()
     try:
-        call()
+        call(parse_graph("[2,4]"))  # kappa = (0, 2); a new graph has no record yet
         fired[name] = None
     except InvariantError as exc:
         fired[name] = str(exc)

@@ -9,7 +9,9 @@ For every workload `BENCHMARK.json` lists, the sides take turns, one
 `--trace 0` run each per round for `--pairs` rounds, and the side that goes
 first alternates between rounds. Each run lasts `run_seconds` from
 `BENCHMARK.json`. Then each side makes one `--trace 1` run of every workload
-in TRACED, for the per-layer numbers.
+in TRACED, for the per-layer numbers. Last, the sides take turns in the same
+way at `ldp verify-paper --json`, one fresh process per run, which records
+each check group's `seconds`, the process's wall time and its peak RSS.
 
 The file records the Python version, the core count, each side's commit
 and the git id of its committed `src/` tree, every run's end-to-end metrics
@@ -25,6 +27,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -44,6 +47,38 @@ def run(root, workload, seed, seconds, trace):
     return context["context"], result
 
 
+# `ldp verify-paper --json` in a child process that reports its own peak RSS
+# (KiB on Linux) on the last line of stderr
+VERIFY_CHILD = """
+import resource, sys
+from ldp.cli import main
+code = main(["verify-paper", "--json"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def verify_paper(root):
+    """(metrics, failed checks) of one `ldp verify-paper --json` run of the
+    checkout at root; the metrics are each group's seconds, and the wall
+    time and peak RSS of the process."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", VERIFY_CHILD], cwd=root, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+    )
+    wall = time.perf_counter() - start
+    if proc.returncode not in (0, 1):  # 1: a check failed, which the record shows
+        raise RuntimeError(f"verify-paper in {root} exited {proc.returncode}: {proc.stderr}")
+    outcomes = json.loads(proc.stdout)
+    groups = sorted({o["group"]: o["seconds"] for o in outcomes}.items())
+    metrics = {f"group{g}_s": seconds for g, seconds in groups}
+    metrics["wall_s"] = wall
+    metrics["peak_rss_mib"] = int(proc.stderr.split()[-1]) / 1024
+    print("verify-paper", root, json.dumps(metrics), file=sys.stderr)
+    return metrics, sum(o["status"] != "Pass" for o in outcomes)
+
+
 def src_tree(root):
     """Git id of the committed src/ tree of the checkout at root: equal ids
     mean the same program, across rebased or squashed commits."""
@@ -61,6 +96,39 @@ def summary(runs, names):
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out["quartiles"][name] = [q1, q3]
     return out
+
+
+def take_turns(labels, pairs, measure):
+    """{label: [measure(label) per round]}, the side that goes first
+    alternating between rounds."""
+    runs = {label: [] for label in labels}
+    for k in range(pairs):
+        for label in labels if k % 2 == 0 else labels[::-1]:
+            runs[label].append(measure(label))
+    return runs
+
+
+def compare(turns, better, tally):
+    """Each side's runs with their summary, and for every side after the
+    first the number of rounds in which it did better than the first.  Each
+    turn is (metrics, count), and the counts are listed under `tally`."""
+    labels = list(turns)
+    runs = {label: [m for m, _ in turns[label]] for label in labels}
+    entry = {
+        label: dict(summary(runs[label], better), runs=runs[label],
+                    **{tally: [c for _, c in turns[label]]})
+        for label in labels
+    }
+    base = runs[labels[0]]
+    for label in labels[1:]:
+        entry[label]["wins_over_" + labels[0]] = {
+            name: sum(
+                (mine[name] < theirs[name]) if way == "lower" else (mine[name] > theirs[name])
+                for mine, theirs in zip(runs[label], base)
+            )
+            for name, way in better.items()
+        }
+    return entry
 
 
 def main(argv=None):
@@ -91,34 +159,24 @@ def main(argv=None):
     labels = list(sides)
     for w in bench["workloads"]:
         workload = w["name"]
-        runs = {label: [] for label in labels}
-        errors = {label: [] for label in labels}
-        for k in range(args.pairs):
-            for label in labels if k % 2 == 0 else labels[::-1]:
-                context, result = run(sides[label], workload, args.seed, seconds, 0)
-                record["sides"][label]["commit"] = context["commit"]
-                runs[label].append({n: m["value"] for n, m in result["metrics"].items()})
-                errors[label].append(context["error_rate"])
-                print(workload, label, k, json.dumps(runs[label][-1]), file=sys.stderr)
-        entry = {}
-        for label in labels:
-            entry[label] = dict(summary(runs[label], better), runs=runs[label],
-                                error_rate=errors[label])
-        base = runs[labels[0]]
-        for label in labels[1:]:
-            entry[label]["wins_over_" + labels[0]] = {
-                name: sum(
-                    (mine[name] < theirs[name]) if way == "lower" else (mine[name] > theirs[name])
-                    for mine, theirs in zip(runs[label], base)
-                )
-                for name, way in better.items()
-            }
-        record["end_to_end"][workload] = entry
+
+        def measure(label):
+            context, result = run(sides[label], workload, args.seed, seconds, 0)
+            record["sides"][label]["commit"] = context["commit"]
+            metrics = {n: m["value"] for n, m in result["metrics"].items()}
+            print(workload, label, json.dumps(metrics), file=sys.stderr)
+            return metrics, context["error_rate"]
+
+        record["end_to_end"][workload] = compare(
+            take_turns(labels, args.pairs, measure), better, "error_rate")
     for workload in TRACED:
         record["per_layer"][workload] = {}
         for label, root in sides.items():
             metrics = run(root, workload, args.seed, seconds, 1)[1]["metrics"]
             record["per_layer"][workload][label] = {n: m["value"] for n, m in metrics.items()}
+    turns = take_turns(labels, args.pairs, lambda label: verify_paper(sides[label]))
+    lower = {name: "lower" for name in turns[labels[0]][0][0]}
+    record["verify_paper"] = compare(turns, lower, "failed_checks")
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")
