@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Every subcommand prints JSON on stdout.  Exit codes: 0 on success, 1 when a
+Every subcommand prints JSON on stdout, exactly as json.dumps(data,
+indent=1) writes it, and a newline.  Exit codes: 0 on success, 1 when a
 verification check fails, 2 on usage or notation errors, and 141 (128 +
 SIGPIPE, as for a process killed by a closed pipe) when the reader of stdout
 goes away first.  Rational numbers are serialized as "p/q" strings, never as
@@ -10,6 +11,7 @@ decimals.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,13 +22,78 @@ from .fields import QQ, PrimeField
 from .graphs import DynkinSyntaxError
 
 
-def _frac(x):
-    return str(Fraction(x))
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _encode(o, newline):
+    """o as one string, the text json.dumps(o, indent=1) writes for it when
+    it starts on the line that `newline` (a line break and the line's
+    indentation) opens.  Takes dicts with str keys, lists, tuples, str,
+    int, bool, None and finite float; anything else raises TypeError."""
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return _escape(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = newline + " "
+        # most elements are ints or strs, written inline: a call for each
+        # would cost more than its text
+        return "[" + inner + ("," + inner).join([
+            int.__repr__(x) if type(x) is int else _escape(x) if type(x) is str
+            else _encode(x, inner) for x in o
+        ]) + newline + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = newline + " "
+        # the C escape raises TypeError on a key that is not a str
+        return "{" + inner + ("," + inner).join([
+            _escape(k) + ": " + (_escape(v) if type(v) is str else _encode(v, inner))
+            for k, v in o.items()
+        ]) + newline + "}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is float and math.isfinite(o):
+        return float.__repr__(o)
+    raise TypeError(f"cannot write {o!r} of type {t.__name__} as JSON")
+
+
+def _write(o, newline, depth, write, lead=""):
+    """Write lead and then o as _encode(o, newline) returns it, one piece
+    per element of the containers `depth` levels down and each element
+    below them as one string, so no whole document is held."""
+    t = type(o)
+    if not (depth and o and (t is dict or t is list or t is tuple)):
+        write(lead + _encode(o, newline))
+        return
+    inner = newline + " "
+    if t is dict:
+        lead += "{"
+        for k, v in o.items():
+            _write(v, inner, depth - 1, write, lead + inner + _escape(k) + ": ")
+            lead = ","
+        write(newline + "}")
+    else:
+        lead += "["
+        for v in o:
+            _write(v, inner, depth - 1, write, lead + inner)
+            lead = ","
+        write(newline + "]")
 
 
 def _emit(data):
-    json.dump(data, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    """Print data exactly as json.dumps(data, indent=1) and a newline, in
+    one piece per top-level or second-level element."""
+    write = sys.stdout.write
+    _write(data, "\n", 2, write)
+    write("\n")
 
 
 def _type_json(t):
@@ -62,7 +129,7 @@ def cmd_report(args):
     data["discrepancies"] = [
         {
             "component": graphs.format_graph(g),
-            "e": [_frac(x) for x in discrepancy.discrepancies(g)],
+            "e": [str(x) for x in discrepancy.discrepancies(g)],
         }
         for g in t.sorted_components()
     ]
@@ -71,7 +138,7 @@ def cmd_report(args):
         data["hunt"] = {
             "component": graphs.format_graph(comp),
             "vertex": vertex,
-            "coefficient": _frac(e0),
+            "coefficient": str(e0),
         }
     except discrepancy.AllDuValError:
         data["hunt"] = None
@@ -98,20 +165,20 @@ def cmd_lct(args):
     _emit(
         {
             "notation": graphs.format_graph(g),
-            "incidence": list(a),
-            "lct_upper_bound": _frac(value),
+            "incidence": a,
+            "lct_upper_bound": str(value),
             "exact_on_minimal_resolution": cls.verdict == discrepancy.LOG_RESOLUTION,
             "case": cls.case,
-            "verdicts": list(cls.verdicts),
-            "pairing": _frac(cls.pairing),
+            "verdicts": cls.verdicts,
+            "pairing": str(cls.pairing),
         }
     )
 
 
 # lemma42 sweeps C(max_a + n, n) - 1 incidence vectors on n vertices and
 # prints n entries for each.  Both counts are bounded: at the cell bound,
-# "[2^1000]" with --max-a 1 takes about 1.3 s (Python 3.11, 2 cores), and the
-# vector bound keeps 6 vertices under 2.1 s
+# "[2^1000]" with --max-a 1 takes 0.7-1.1 s (Python 3.11, 2 cores), and the
+# vector bound keeps 6 vertices near 1.1 s
 MAX_SWEEP_VECTORS = 100_000
 MAX_SWEEP_CELLS = 1_000_000
 
@@ -152,11 +219,14 @@ def cmd_lemma42(args):
     agree = True
     delta = graphs.graph_determinant(g)
     for a, _, scaled, cls, _, mismatches in discrepancy.incidence_sweep(g, args.max_a):
-        row = {"incidence": list(a), "pairing": _frac(Fraction(scaled, delta))}
-        if cls is not None:
+        if cls is None:
+            row = {"incidence": a, "pairing": str(Fraction(scaled, delta))}
+        else:
+            # the classification holds the pairing, already a Fraction
+            row = {"incidence": a, "pairing": str(cls.pairing)}
             if cls.case is not None:
                 row["case"] = cls.case
-            row["verdicts"] = list(cls.verdicts)
+            row["verdicts"] = cls.verdicts
         agree = agree and not mismatches
         rows.append(row)
     _emit(
@@ -176,7 +246,7 @@ def cmd_hunt(args):
         {
             "component": graphs.format_graph(comp),
             "vertex": vertex,
-            "coefficient": _frac(e0),
+            "coefficient": str(e0),
         }
     )
 

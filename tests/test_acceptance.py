@@ -7,7 +7,7 @@ asserts that every check in its group reproduces the pinned value exactly
 
 import pytest
 
-from ldp import verify
+from ldp import graphs, verify
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +68,14 @@ def test_group_8_weighted_model_suite(outcomes):
 
 def test_group_9_table_battery(outcomes):
     _assert_group_passes(outcomes, 9)
+
+
+def test_group_9_builds_one_record_per_distinct_component(watch):
+    types = [t for _, t in graphs.table1_enumerate(n_range=(0, 4), m_range=(1, 4))]
+    distinct = {g.canonical_key() for t in types for g in t.components}
+    # the 88 types list 350 components, of 151 canonical forms
+    assert sum(len(t.components) for t in types) > len(distinct)
+    battery = verify._table_checks()
+    assert len(watch.records) == len(distinct)
+    # the value does not depend on which object stands for a component
+    assert battery["table-battery"] == verify.expected_values()["table-battery"]

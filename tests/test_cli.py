@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldp import cli, graphs, verify
 
@@ -236,15 +241,20 @@ def test_weighted_model_checks(capsys):
         assert member["smooth"] is True
 
 
-def test_verify_paper_json_adds_seconds_and_keeps_the_old_keys(capsys, monkeypatch):
+def _pinned_group_5(monkeypatch):
+    """Group 5 takes seconds; its pinned values stand in for its computation."""
     expected = verify.expected_values()
-    # group 5 takes seconds; its pinned values stand in for its computation
     sweep_ids = [cid for cid in expected if cid.startswith("incidence-")]
     groups = tuple(
         (g, (lambda: {cid: expected[cid] for cid in sweep_ids}) if g == 5 else fn)
         for g, fn in verify._GROUPS
     )
     monkeypatch.setattr(verify, "_GROUPS", groups)
+    return expected
+
+
+def test_verify_paper_json_adds_seconds_and_keeps_the_old_keys(capsys, monkeypatch):
+    expected = _pinned_group_5(monkeypatch)
     code, out, _ = run(capsys, "verify-paper", "--json")
     assert code == 0
     data = json.loads(out)
@@ -330,3 +340,80 @@ def test_lemma42_bounds_vectors_times_vertices(capsys):
     assert code == 2 and "1002001 cells" in err
     # the largest sweep the vector bound allows on 6 vertices passes the cell bound
     assert cli._sweep_size(6, 16) * 6 <= cli.MAX_SWEEP_CELLS
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    # any code point but surrogates: non-ASCII and control characters
+    | st.text()
+)
+_documents = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=25,
+)
+
+
+def _emitted(data):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(data)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_the_writer_matches_json_dumps(data):
+    expected = json.dumps(data, indent=1)
+    assert cli._encode(data, "\n") == expected
+    assert _emitted(data) == expected + "\n"
+
+
+@pytest.mark.parametrize("data", [
+    Fraction(1, 2),
+    {"e": [Fraction(1, 2)]},
+    [{1, 2}],
+    {1: "a"},
+    {"rows": [{"incidence": [0, 1], (0, 1): "key"}]},
+    {"seconds": math.inf},
+    [math.nan],
+])
+def test_the_writer_refuses_what_json_dumps_would_not_write_the_same(data):
+    with pytest.raises(TypeError):
+        cli._encode(data, "\n")
+    with pytest.raises(TypeError):
+        _emitted(data)
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "[2,4]+[3;[2],[2],[2,2]]"],
+    ["det", "[2,2,2,2]+[2,4]"],
+    ["report", "2[2^4]+[2,4]"],
+    ["report", "[2^3]"],
+    ["lct", "[3;[2],[2],[3]]", "--incidence", "1,0,0,2"],
+    ["lemma42", "[3;[2],[2],[2]]", "--max-a", "2"],
+    ["hunt", "[3;[2],[2],[5]]"],
+    ["table1"],
+    ["pencil", "--char", "7"],
+    ["crossratio"],
+    ["weighted-model"],
+])
+def test_output_is_json_dumps_with_indent_one(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+
+
+def test_verify_paper_json_is_json_dumps_with_indent_one(capsys, monkeypatch):
+    _pinned_group_5(monkeypatch)
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"

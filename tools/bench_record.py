@@ -17,7 +17,8 @@ The file records the Python version, the core count, each side's commit
 and the git id of its committed `src/` tree, every run's end-to-end metrics
 and error rate, each side's median and quartiles per metric, and, for every
 side after the first, the number of rounds in which it did better than the
-first side on each metric.
+first side on each metric. A side with uncommitted changes under `src/` is
+refused (exit 2), since its tree id would not name the code that ran.
 """
 
 import argparse
@@ -87,6 +88,14 @@ def src_tree(root):
     return proc.stdout.strip() or None
 
 
+def dirty_src(root):
+    """True when the checkout at root has uncommitted changes under src/,
+    which its runs would measure but its src_tree would not name."""
+    proc = subprocess.run(["git", "-C", root, "status", "--porcelain", "--", "src"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return bool(proc.stdout.strip())
+
+
 def summary(runs, names):
     """Median and quartiles of each metric over the runs."""
     out = {"median": {}, "quartiles": {}}
@@ -141,6 +150,10 @@ def main(argv=None):
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     sides = dict(s.split("=", 1) for s in args.side)
+    for label, root in sides.items():
+        if dirty_src(root):
+            parser.error(f"side {label} ({root}) has uncommitted changes under src/; "
+                         "commit them, or record a committed clone")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     seconds = bench["run_seconds"]
