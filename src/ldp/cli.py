@@ -317,7 +317,8 @@ def cmd_table1(args):
 
 # pencil's largest characteristic: the members are found by trying every
 # residue mod p, and the field checks p by trial division, so the time grows
-# linearly in p; --char 1000003 takes 0.13-0.29 s (Python 3.11, 2 cores)
+# linearly in p; --char 1000003 takes 0.15-0.28 s in a fresh process, the
+# residue loop nearly all of it (Python 3.11.7, 2 cores)
 MAX_PENCIL_CHAR = 1_000_003
 
 

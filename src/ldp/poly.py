@@ -13,8 +13,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .fields import FpElement
+from .fields import QQ, FpElement, PrimeField
 from .graphs import InvariantError
 
 
@@ -286,51 +287,72 @@ def _to_fraction(c):
     raise TypeError(f"cannot lift {c!r}")
 
 
-# -- determinants of polynomial matrices (for Sylvester matrices) ---------------
-
-
-def _ring_det(rows):
-    """Determinant by memoized Laplace expansion along the rows, of a square
-    matrix of polynomials from one ring.  Each minor is summed in one term
-    map: a product adds straight into it, signs go onto the entry."""
-    one = rows[0][0]._same_ring(1)
-    memo = {}
-
-    def minor(r, cs):
-        if not cs:
-            return one
-        key = (r, cs)
-        if key not in memo:
-            out = {}
-            for k, c in enumerate(cs):
-                a = rows[r][c]
-                if a:
-                    sub = minor(r + 1, cs[:k] + cs[k + 1 :])
-                    _add_products(out, (-a if k % 2 else a).terms, sub.terms)
-            memo[key] = one._new(_nonzero(out))
-        return memo[key]
-
-    return minor(0, tuple(range(len(rows))))
+# -- resultants ---------------------------------------------------------------
 
 
 def resultant(f, g, var):
-    """Res_var(f, g) as a polynomial in the remaining variables (same ring)."""
+    """Res_var(f, g) as a polynomial in the remaining variables (same ring):
+    the Sylvester determinant by memoized Laplace expansion along the rows.
+
+    The expansion runs on term maps keyed by one packed int per monomial
+    (var's slot dropped; each slot is wide enough for the degree bound of the
+    determinant) with integer codes for the coefficients: over QQ the
+    numerators of f and g scaled by the lcm of their own denominators, over
+    F_p residues reduced once per minor; other fields keep their elements."""
     f._same_ring(g)
     m, n = f.degree(var), g.degree(var)
     if m < 0 or n < 0:
         raise ValueError("resultant of the zero polynomial")
-    zero = ExactPolynomial.zero(f.field, f.vars, f.weights)
-    if m == 0 and n == 0:
-        return ExactPolynomial.constant(f.field, f.vars, 1, f.weights)
-    fc = [f.coefficient(var, k) for k in range(m, -1, -1)]
-    gc = [g.coefficient(var, k) for k in range(n, -1, -1)]
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + fc + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + gc + [zero] * (size - i - n - 1))
-    return _ring_det(rows)
+    field, i = f.field, f.vars.index(var)
+    slots = [j for j in range(len(f.vars)) if j != i]
+    top = [max((e[j] for e, _ in h.terms for j in slots), default=0) for h in (f, g)]
+    width = (n * top[0] + m * top[1]).bit_length()
+    p = field.p if isinstance(field, PrimeField) else None
+    if field == QQ:
+        lam, mu = (lcm(*(c.denominator for _, c in h.terms)) for h in (f, g))
+        codes = [lambda c, s=s: c.numerator * (s // c.denominator) for s in (lam, mu)]
+        scale, one = lam**n * mu**m, 1
+        decode = lambda c: Fraction(c, scale)
+    elif p:
+        codes, one = [operator.attrgetter("val")] * 2, 1
+        decode = lambda c: FpElement(p, c)
+    else:
+        codes, one = [lambda c: c] * 2, field.one
+        decode = codes[0]
+
+    def band(h, d, code):
+        """h's coefficients of var^d, ..., var^0 as coded term maps."""
+        cols = [{} for _ in range(d + 1)]
+        for e, c in h.terms:
+            cols[d - e[i]][sum(e[j] << (width * k) for k, j in enumerate(slots))] = code(c)
+        return cols
+
+    fc, gc = band(f, m, codes[0]), band(g, n, codes[1])
+    rows = [[{}] * r + fc + [{}] * (n - 1 - r) for r in range(n)]
+    rows += [[{}] * r + gc + [{}] * (m - 1 - r) for r in range(m)]
+    memo = {(): {0: one}}
+
+    def minor(cs):
+        """The minor on the last len(cs) rows and the columns cs."""
+        if cs not in memo:
+            row, out = rows[m + n - len(cs)], {}
+            for k, col in enumerate(cs):
+                if row[col] and (sub := minor(cs[:k] + cs[k + 1 :])):
+                    for e1, c1 in row[col].items():
+                        c1 = -c1 if k % 2 else c1
+                        for e2, c2 in sub.items():
+                            e, c = e1 + e2, c1 * c2
+                            out[e] = out[e] + c if e in out else c
+            memo[cs] = {e: r for e, c in out.items() if (r := c % p)} if p else _nonzero(out)
+        return memo[cs]
+
+    mask, terms = (1 << width) - 1, {}
+    for key, c in minor(tuple(range(m + n))).items():
+        e = [0] * len(f.vars)
+        for k, j in enumerate(slots):
+            e[j] = key >> (width * k) & mask
+        terms[tuple(e)] = decode(c)
+    return f._new(terms)
 
 
 # -- univariate helpers ---------------------------------------------------------
@@ -343,34 +365,58 @@ def _univar_check(f, var):
             raise ValueError(f"{f!r} is not univariate in {var}")
 
 
+def _dense(f, var):
+    """The coefficients of f, univariate in var, lowest degree first."""
+    _univar_check(f, var)
+    i = f.vars.index(var)
+    out = [f.field.zero] * (f.degree(var) + 1)
+    for e, c in f.terms:
+        out[e[i]] = c
+    return out
+
+
+def _sparse(f, coeffs, var):
+    """The polynomial of f's ring with these coefficients of var^0, var^1, ..."""
+    base, i = (0,) * len(f.vars), f.vars.index(var)
+    return f._new({base[:i] + (k,) + base[i + 1 :]: c for k, c in enumerate(coeffs) if c})
+
+
+def _dense_divmod(a, b):
+    """Long division of dense coefficient lists (lowest degree first, b's
+    last entry nonzero): the quotient, and the remainder without trailing
+    zeros."""
+    r, q, lc, db = list(a), [], b[-1], len(b) - 1
+    while len(r) > db:
+        c = r.pop() / lc
+        q.append(c)
+        if c:
+            for k in range(db):
+                r[len(r) - db + k] -= c * b[k]
+    while r and not r[-1]:
+        r.pop()
+    return q[::-1], r
+
+
 def poly_divmod(f, g, var):
     """Division with remainder in field[var]; f, g univariate in var."""
-    _univar_check(f, var)
-    _univar_check(g, var)
-    if g.is_zero():
+    f._same_ring(g)
+    a, b = _dense(f, var), _dense(g, var)
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = ExactPolynomial.zero(f.field, f.vars, f.weights)
-    r = f
-    x = ExactPolynomial.variable(f.field, f.vars, var, f.weights)
-    dg = g.degree(var)
-    lc = g.coefficient(var, dg).evaluate({})
-    while not r.is_zero() and r.degree(var) >= dg:
-        dr = r.degree(var)
-        c = r.coefficient(var, dr).evaluate({}) / lc
-        t = x ** (dr - dg) * c
-        q = q + t
-        r = r - t * g
-    return q, r
+    q, r = _dense_divmod(a, b)
+    return _sparse(f, q, var), _sparse(f, r, var)
 
 
 def poly_gcd(f, g, var):
-    """Monic gcd in field[var]."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, poly_divmod(a, b, var)[1]
-    if a.is_zero():
-        return a
-    return a.monic()
+    """Monic gcd in field[var], by Euclid on dense coefficient lists."""
+    f._same_ring(g)
+    a, b = _dense(f, var), _dense(g, var)
+    while b:
+        a, b = b, _dense_divmod(a, b)[1]
+    if a:
+        inv = f.field.one / a[-1]
+        a = [c * inv for c in a]
+    return _sparse(f, a, var)
 
 
 def _pth_root(f, var):

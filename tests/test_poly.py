@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.subresultants_qq_zz import sylvester
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from ldp.poly import (
     ExactPolynomial as Poly,
     binary_gcd,
     binary_squarefree,
+    poly_divmod,
     poly_from_json,
     poly_gcd,
     poly_to_json,
@@ -80,12 +82,11 @@ def test_resultant_matches_sympy(cs1, cs2):
     if f.degree("x") < 1 or g.degree("x") < 1:
         return
     ours = resultant(f, g, "x").evaluate({})
-    theirs = Fraction(str(sympy.resultant(_to_sympy(f, [x]), _to_sympy(g, [x]), x)))
-    # conventions can differ by the row-swap sign (-1)^{deg f * deg g}
-    if f.degree("x") * g.degree("x") % 2 == 0:
-        assert ours == theirs
-    else:
-        assert ours in (theirs, -theirs)
+    # the determinant of sympy's Sylvester matrix, not sympy.resultant: that
+    # one has the opposite sign when deg f = 1 and deg g = 3 (for f = 1 - 3x,
+    # g = 4x^3 + 6 it gives 166; the determinant and lc(f)^3 g(1/3) give -166)
+    theirs = sylvester(_to_sympy(f, [x]), _to_sympy(g, [x]), x, 1).det()
+    assert ours == Fraction(str(theirs))
 
 
 def test_gcd_example():
@@ -246,6 +247,143 @@ def test_multivariate_resultant_matches_sympy(field, t1, t2):
     theirs = _sympy_poly(f).resultant(_sympy_poly(g)).as_expr()
     assert _sympy_poly(ours, ("y", "z")) == sympy.Poly(theirs, *sympy.symbols("y z"),
                                                        **_sympy_field(field))
+
+
+# -- resultants against the Sylvester determinant in the ring's own arithmetic ----
+
+
+def _ring_det(rows, one):
+    """Determinant by memoized Laplace expansion along the rows, of a square
+    matrix of polynomials from one ring, with + and * of that ring."""
+    memo = {}
+
+    def minor(r, cs):
+        if not cs:
+            return one
+        if cs not in memo:
+            total = one * 0
+            for k, c in enumerate(cs):
+                if rows[r][c]:
+                    term = rows[r][c] * minor(r + 1, cs[:k] + cs[k + 1 :])
+                    total = total - term if k % 2 else total + term
+            memo[cs] = total
+        return memo[cs]
+
+    return minor(0, tuple(range(len(rows))))
+
+
+def _sylvester_det(f, g, var):
+    """The reference resultant: the determinant of the Sylvester matrix."""
+    m, n = f.degree(var), g.degree(var)
+    zero = f * 0
+    fc = [f.coefficient(var, k) for k in range(m, -1, -1)]
+    gc = [g.coefficient(var, k) for k in range(n, -1, -1)]
+    rows = [[zero] * r + fc + [zero] * (n - 1 - r) for r in range(n)]
+    rows += [[zero] * r + gc + [zero] * (m - 1 - r) for r in range(m)]
+    return _ring_det(rows, Poly.constant(f.field, f.vars, 1))
+
+
+F5_SQRT2 = QuadraticExtension(PrimeField(5), 0, -2)  # theta^2 = 2, a non-square mod 5
+RESULTANT_FIELDS = (QQ, PrimeField(5), PrimeField(7), QuadraticExtension(QQ, 11, -1), F5_SQRT2)
+
+
+def _element(field, a, b, d):
+    """a/d + b*theta in an extension, a/d in QQ; over F_p only a and b."""
+    extension = isinstance(field, QuadraticExtension)
+    u = Fraction(a, d) if (field.base if extension else field) == QQ else a
+    return field.coerce(u) + field.generator * b if extension else u
+
+
+coded_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(coeffs, coeffs, st.integers(1, 12)),
+    max_size=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RESULTANT_FIELDS), coded_terms, coded_terms)
+def test_resultant_matches_sylvester_determinant(field, t1, t2):
+    f, g = (
+        Poly.make(field, NAMES[:3], {e: _element(field, *c) for e, c in t.items()})
+        for t in (t1, t2)
+    )
+    assume(f and g)
+    assert resultant(f, g, "x") == _sylvester_det(f, g, "x")
+    assert resultant(f, g, "y") == _sylvester_det(f, g, "y")
+
+
+def test_resultant_with_a_side_free_of_the_variable():
+    for field in RESULTANT_FIELDS:
+        x, y = Poly.gens(field, ("x", "y"))
+        f, c = x**2 * y + 3 * x + y, y**2 + field.one / 2
+        # deg_x c = 0: the Sylvester matrix is c times the identity
+        assert resultant(f, c, "x") == resultant(c, f, "x") == c**2 == _sylvester_det(f, c, "x")
+        assert resultant(c, c, "x") == Poly.constant(field, ("x", "y"), 1)
+
+
+def test_resultant_keeps_exponents_beyond_16_bits():
+    for field in (QQ, PrimeField(7), F5_SQRT2):
+        x, y, z = Poly.gens(field, NAMES[:3])
+        f, g = z * x + y**70000, x**2 + z**3 * y
+        expected = z**5 * y + y**140000
+        assert resultant(f, g, "x") == expected == _sylvester_det(f, g, "x")
+
+
+def test_resultant_of_zero_raises():
+    x, y = Poly.gens(PrimeField(5), ("x", "y"))
+    zero = Poly.zero(PrimeField(5), ("x", "y"))
+    for f, g in ((zero, x + y), (x + y, zero), (zero, zero)):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            resultant(f, g, "x")
+
+
+# -- dense univariate division against sympy ------------------------------------
+
+dense = st.lists(coeffs, max_size=6)
+
+
+def _univariate(field, coeffs_low_first):
+    return Poly.make(field, ("x",), {(k,): c for k, c in enumerate(coeffs_low_first)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, dense, dense, dense)
+def test_dense_division_and_gcd_match_sympy(field, a, b, c):
+    f, g, common = (_univariate(field, cs) for cs in (a, b, c))
+    F, G = _sympy_poly(f), _sympy_poly(g)
+    if g:
+        q, r = poly_divmod(f, g, "x")
+        Q, R = sympy.div(F, G)
+        assert (_sympy_poly(q), _sympy_poly(r)) == (Q, R)
+    F, G = _sympy_poly(f * common), _sympy_poly(g * common)
+    expected = F.gcd(G)
+    assert _sympy_poly(poly_gcd(f * common, g * common, "x")) == (
+        expected.monic() if expected else expected
+    )
+
+
+def test_dense_division_edge_cases():
+    for field in FIELDS:
+        x, y = Poly.gens(field, ("x", "y"))
+        zero = x * 0
+        f = 2 * x**3 + x + 4
+        # a dividend of lower degree than the divisor is its own remainder
+        assert poly_divmod(x + 1, f, "x") == (zero, x + 1)
+        # a constant divisor leaves no remainder
+        three = zero + 3
+        assert poly_divmod(f, three, "x") == (f * (field.one / 3), zero)
+        assert poly_divmod(zero, f, "x") == (zero, zero)
+        assert poly_gcd(zero, zero, "x") == zero
+        assert poly_gcd(zero, f, "x") == poly_gcd(f, zero, "x") == f.monic()
+        assert poly_gcd(f, three, "x") == zero + 1
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(f, zero, "x")
+        for left, right in ((f * y, x), (f, x + y)):
+            with pytest.raises(ValueError, match="not univariate"):
+                poly_divmod(left, right, "x")
+            with pytest.raises(ValueError, match="not univariate"):
+                poly_gcd(left, right, "x")
 
 
 def test_powers_by_squaring_match_repeated_products():
