@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 import sympy
-from sympy.polys.subresultants_qq_zz import sylvester
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from ldp.fields import QQ, PrimeField, QuadraticExtension
 from ldp.poly import (
