@@ -374,13 +374,6 @@ def closed_form_f(g, a, vertex):
 # -- incidence sweep -----------------------------------------------------------
 
 
-def _multisets(n, total):
-    """Every incidence vector on n vertices with entries summing to total, as
-    its support positions repeated by multiplicity (a sorted tuple), in
-    lexicographic order of the vectors."""
-    return reversed(list(itertools.combinations_with_replacement(range(n), total)))
-
-
 def incidence_sweep(g, max_a):
     """Every nonzero incidence vector with entries summing to at most max_a,
     by sum and then in lexicographic order, checked in integers.
@@ -400,32 +393,36 @@ def incidence_sweep(g, max_a):
     n = len(adj)
     # delta*<a + e_j, b> - delta*<a, b> = 2 (adj.a)_j + adj_jj + (adj.kappa)_j
     step = [adj[j][j] + ak[j] for j in range(n)]
-    below = {(): ((0,) * n, [0] * n, 0)}
+    # each level's vectors in order, with their last step vertex (the largest
+    # in their support) and support; a vector's children step at j from
+    # n - 1 down to its own last step
+    below = [((0,) * n, [0] * n, 0, 0, ())]
     for total in range(1, max_a + 1):
-        level = {}
-        for m in _multisets(n, total):
-            a, dd, scaled = below[m[:-1]]
-            j = m[-1]
-            scaled += 2 * dd[j] + step[j]
-            a = a[:j] + (a[j] + 1,) + a[j + 1 :]
-            dd = list(map(operator.add, dd, adj[j]))
-            if min(dd) < 0:
-                raise InvariantError(f"negative coefficient {dd}/{delta} for incidence {a}")
-            if total < max_a:
-                level[m] = a, dd, scaled
-            cls = None
-            if scaled <= 2 * delta:
-                try:
-                    cls = _classify(data, a, sorted(set(m)), scaled)
-                except UnsupportedConfigurationError:
-                    cls = IncidenceClassification((UNSUPPORTED,), None, Fraction(scaled, delta))
-            # the displays cover one point of any multiplicity and two
-            # points of multiplicity one
-            covered = (j,) if m[0] == j else m if total == 2 else ()
-            mismatches = 0
-            for v in covered:
-                mismatches += _display_scaled(shape, a, covered, v) != delta - dd[v] - ak[v]
-            yield a, dd, scaled, cls, len(covered), mismatches
+        level = []
+        for pa, pdd, pscaled, last, psupport in below:
+            for j in range(n - 1, last - 1, -1):
+                scaled = pscaled + 2 * pdd[j] + step[j]
+                a = pa[:j] + (pa[j] + 1,) + pa[j + 1 :]
+                dd = list(map(operator.add, pdd, adj[j]))
+                if min(dd) < 0:
+                    raise InvariantError(f"negative coefficient {dd}/{delta} for incidence {a}")
+                support = psupport if j == last and total > 1 else psupport + (j,)
+                if total < max_a:
+                    level.append((a, dd, scaled, j, support))
+                cls = None
+                if scaled <= 2 * delta:
+                    try:
+                        cls = _classify(data, a, support, scaled)
+                    except UnsupportedConfigurationError:
+                        pairing = Fraction(scaled, delta)
+                        cls = IncidenceClassification((UNSUPPORTED,), None, pairing)
+                # the displays cover one point of any multiplicity and two
+                # points of multiplicity one
+                covered = support if len(support) == 1 or total == 2 else ()
+                mismatches = 0
+                for v in covered:
+                    mismatches += _display_scaled(shape, a, covered, v) != delta - dd[v] - ak[v]
+                yield a, dd, scaled, cls, len(covered), mismatches
         below = level
 
 

@@ -5,8 +5,11 @@ form (+1, -1, ..., -1), a canonical class, a table of named curve classes,
 and a designated contracted configuration whose dual graph it must
 reproduce.  Pullback along the contraction, rounding of fractional
 pullbacks, genus and Riemann-Roch all reduce to exact linear algebra here.
-Both pullbacks go through one core, `_pullback`, which reads the inverse
-Gram matrix from a record compiled once per set of contracted classes.
+A class is a tuple of integer numerators over one common denominator.
+Both pullbacks go through one core, `_pullback`, which reads the
+determinant and adjugate of the integer Gram matrix from a record compiled
+once per set of contracted classes, so a pullback makes no Fraction until
+its coefficients are rounded.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul, sub
 
 from . import linalg
 from .graphs import (
@@ -38,55 +43,81 @@ class RayOrthogonalError(ValueError):
     pass
 
 
+def _form(x, y):
+    """x.y under (+1, -1, ..., -1) on integer coefficient vectors."""
+    return 2 * x[0] * y[0] - sum(map(mul, x, y))
+
+
 @dataclass(frozen=True)
 class DivisorClass:
+    """A class with rational coefficients nums[i] / den, stored in lowest
+    terms (den > 0, gcd(den, *nums) == 1), so equal classes are equal and
+    hash alike field by field."""
+
     basis: tuple
-    coeffs: tuple
+    nums: tuple
+    den: int
 
     @staticmethod
     def make(basis, coeffs):
-        return DivisorClass(tuple(basis), tuple(Fraction(c) for c in coeffs))
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        nums = tuple(c.numerator * den // c.denominator for c in fracs)
+        return DivisorClass(tuple(basis), nums, den)
+
+    @staticmethod
+    def _reduced(basis, nums, den):
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums, den = tuple(x // g for x in nums), den // g
+        return DivisorClass(basis, nums, den)
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def _match(self, other):
         if not isinstance(other, DivisorClass) or other.basis != self.basis:
             raise ValueError("divisor classes over different bases")
         return other
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         other = self._match(other)
-        return DivisorClass(
-            self.basis, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        nums = tuple(op(p * a, q * b) for a, b in zip(self.nums, other.nums))
+        return DivisorClass._reduced(self.basis, nums, den)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        other = self._match(other)
-        return DivisorClass(
-            self.basis, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return DivisorClass(self.basis, tuple(-a for a in self.coeffs))
+        return DivisorClass(self.basis, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, k):
-        k = Fraction(k)
-        return DivisorClass(self.basis, tuple(a * k for a in self.coeffs))
+        if not isinstance(k, int):
+            k = Fraction(k)
+        p = k.numerator  # an int is its own numerator, over 1
+        return DivisorClass._reduced(
+            self.basis, tuple(a * p for a in self.nums), self.den * k.denominator
+        )
 
     __rmul__ = __mul__
 
     def dot(self, other):
         """Intersection number under the form (+1, -1, ..., -1)."""
         other = self._match(other)
-        total = self.coeffs[0] * other.coeffs[0]
-        for a, b in zip(self.coeffs[1:], other.coeffs[1:]):
-            if a and b:  # classes are sparse; skip the zero products
-                total -= a * b
-        return total
+        return Fraction(_form(self.nums, other.nums), self.den * other.den)
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def coefficient(self, name):
-        return self.coeffs[self.basis.index(name)]
+        return Fraction(self.nums[self.basis.index(name)], self.den)
 
     def __repr__(self):
         bits = []
@@ -121,8 +152,13 @@ class BlowupLattice:
 
 
 def _check_contracted(lat):
-    gram = _contraction(tuple(lat.contracted_classes())).gram
-    if [list(row) for row in gram] != dynkin_matrix(lat.contracted_type):
+    con = _contraction(tuple(lat.contracted_classes()))
+    # the numerator vectors s_i c_i have Gram s_i s_j (c_i . c_j)
+    expected = [
+        [x * s * t for x, t in zip(row, con.scales)]
+        for row, s in zip(dynkin_matrix(lat.contracted_type), con.scales)
+    ]
+    if [list(row) for row in con.gram] != expected:
         raise InvariantError("contracted classes do not reproduce the declared graph")
 
 
@@ -205,58 +241,76 @@ def preset_resolution(dagger):
 
 @dataclass(frozen=True)
 class _Contraction:
-    """A compiled set of contracted classes: their Gram matrix and its
-    inverse, both as immutable tuples."""
+    """A compiled set of contracted classes c_i = v_i / s_i, with v_i their
+    numerator vectors: the scales s_i, the integer Gram matrix of the v_i,
+    its determinant and its adjugate, all immutable."""
 
     classes: tuple
+    scales: tuple
     gram: tuple
-    inverse: tuple
+    det: int
+    adjugate: tuple
 
 
 @functools.lru_cache(maxsize=32)
 def _contraction(classes):
     """Compile a tuple of contracted classes, keyed by their contents.
 
-    One Gauss-Jordan elimination of the Gram matrix without row swaps both
-    inverts it and checks negative definiteness: the k-th pivot is the ratio
-    of the k-th to the (k-1)-th leading minor, so the form is negative
-    definite exactly when every pivot is negative.
+    One fraction-free Gauss-Jordan elimination of [Gram | I] without row
+    swaps (Bareiss 1968) ends at [det I | adj].  Its k-th pivot is the k-th
+    leading minor, so the form is negative definite exactly when the pivots
+    alternate in sign, starting negative.
     """
-    gram = tuple(tuple(a.dot(b) for b in classes) for a in classes)
+    vecs = [c.nums for c in classes]
+    gram = tuple(tuple(_form(a, b) for b in vecs) for a in vecs)
     k = len(classes)
-    rows = [
-        list(row) + [Fraction(int(i == j)) for j in range(k)]
-        for i, row in enumerate(gram)
-    ]
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(gram)]
+    prev = 1
     for col in range(k):
-        pivot = rows[col][col]
-        if pivot >= 0:
+        top = rows[col]
+        pivot = top[col]
+        if (pivot if col % 2 else -pivot) <= 0:
             raise NotNegativeDefiniteError("contracted classes are not negative definite")
-        rows[col] = [x / pivot for x in rows[col]]
         for r in range(k):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    inverse = tuple(tuple(row[k:]) for row in rows)
-    return _Contraction(classes, gram, inverse)
+            if r != col:
+                f = rows[r][col]
+                # exact division: each entry is a minor of [Gram | I]
+                rows[r] = [(pivot * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = pivot
+    adjugate = tuple(tuple(row[k:]) for row in rows)
+    return _Contraction(classes, tuple(c.den for c in classes), gram, prev, adjugate)
 
 
 def _pullback(lat, cls, curves, rounding):
     """cls plus the combination of the given contracted curves (all of them
     by default) that is orthogonal to each, its coefficients passed through
-    rounding unless that is None."""
+    rounding unless that is None.
+
+    With cls = x / d, r_i = -(x . v_i) and w = adj r, the coefficient of c_i
+    is s_i w_i / (d det), that is, w_i / (d det) times v_i.
+    """
     con = _contraction(tuple(lat.contracted_classes(curves)))
-    rhs = [-cls.dot(c) for c in con.classes]
-    corr = [sum(x * y for x, y in zip(row, rhs)) for row in con.inverse]
-    if rounding is not None:
-        corr = [rounding(c) for c in corr]
-    coeffs = list(cls.coeffs)
-    for c, curve in zip(corr, con.classes):
+    x, d, det = cls.nums, cls.den, con.det
+    rhs = [-_form(x, c.nums) for c in con.classes]
+    w = [sum(map(mul, row, rhs)) for row in con.adjugate]
+    if rounding is None:
+        if det < 0:
+            w, det = [-y for y in w], -det
+        scale, den, coef = det, d * det, w
+    else:
+        scale = lcm(*con.scales)
+        den = d * scale
+        coef = [
+            rounding(Fraction(s * y, d * det)) * (den // s)
+            for s, y in zip(con.scales, w)
+        ]
+    nums = [a * scale for a in x]
+    for c, curve in zip(coef, con.classes):
         if c:
-            for i, x in enumerate(curve.coeffs):
-                if x:
-                    coeffs[i] += c * x
-    return con, DivisorClass(cls.basis, tuple(coeffs))
+            for i, v in enumerate(curve.nums):
+                if v:
+                    nums[i] += c * v
+    return con, DivisorClass._reduced(cls.basis, tuple(nums), den)
 
 
 def pullback_weil(lat, cls, curves=None):
@@ -264,7 +318,7 @@ def pullback_weil(lat, cls, curves=None):
     making the result orthogonal to each of them (the numerical pullback of
     the pushforward of cls)."""
     con, out = _pullback(lat, cls, curves, None)
-    if any(out.dot(c) for c in con.classes):
+    if any(_form(out.nums, c.nums) for c in con.classes):
         raise InvariantError("pullback is not orthogonal to the contracted curves")
     return out
 
@@ -296,23 +350,19 @@ def round_up(lat, cls, support):
     if any(not c.is_integral() for c in classes):
         raise AmbiguousSupportError("support curves must be integral classes")
     n, k = len(lat.basis), len(classes)
-    B = [[int(classes[j].coeffs[i]) for j in range(k)] for i in range(n)]
+    B = [[c.nums[i] for c in classes] for i in range(n)]
     U, V, D = linalg.smith_normal_form(B)
-    w = [
-        sum(Fraction(U[i][j]) * cls.coeffs[j] for j in range(n)) for i in range(n)
-    ]
+    w = [sum(map(mul, row, cls.nums)) for row in U]  # den * (U . coeffs)
     for i in range(k):
         if D[i][i] not in (1, -1):
             raise AmbiguousSupportError(
                 "support lattice is not primitive; rounding is ill defined"
             )
     for i in range(k, n):
-        if w[i].denominator != 1:
+        if w[i] % cls.den:
             raise AmbiguousSupportError("class does not decompose over the support")
-    mu = [w[i] / D[i][i] for i in range(k)]
-    lam = [
-        sum(Fraction(V[i][j]) * mu[j] for j in range(k)) for i in range(k)
-    ]
+    mu = [w[i] * D[i][i] for i in range(k)]  # den * mu, as D[i][i] = 1 / D[i][i]
+    lam = [Fraction(sum(map(mul, V[i], mu)), cls.den) for i in range(k)]
     out = cls
     for l, curve in zip(lam, classes):
         out = out + (math.ceil(l) - l) * curve

@@ -1,4 +1,5 @@
-"""The benchmark's timed spans for `poly` and `pencil` name real functions.
+"""The benchmark's timed spans for `poly`, `pencil` and `picard` name real
+functions.
 
 perfbench's tracer wraps module-level functions of `ldp` by name, and a span
 whose function was renamed or deleted reads 0 calls and 0 s without error.
@@ -32,3 +33,14 @@ def test_poly_and_pencil_spans_resolve_to_module_level_functions(monkeypatch):
         fn = getattr(module, name, None)
         assert inspect.isfunction(fn), span
         assert fn.__module__ == module.__name__, span
+
+
+def test_picard_spans_resolve_to_module_level_functions(monkeypatch):
+    _load("tracer", monkeypatch)
+    spans = _load("metrics", monkeypatch).TIMED_SPANS
+    checked = [s for s in spans if s.split(".")[0] == "picard"]
+    assert sorted(checked) == ["picard.ceil_pullback", "picard.pullback_weil", "picard.round_up"]
+    for span in checked:
+        fn = getattr(importlib.import_module("ldp.picard"), span.split(".")[1], None)
+        assert inspect.isfunction(fn), span
+        assert fn.__module__ == "ldp.picard", span

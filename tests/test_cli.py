@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -326,6 +327,16 @@ def test_lemma42_bounds_the_number_of_vectors(capsys):
     code, _, err = run(capsys, "lemma42", "[2^36]", "--max-a", "5")
     assert code == 2 and "749397" in err
     assert cli._sweep_size(36, 4) == 91389 <= cli.MAX_SWEEP_VECTORS
+
+
+def test_lemma42_on_one_vertex_at_the_vector_bound_is_fast(capsys):
+    # 100 000 vectors on one vertex: each is one step from the last, so the
+    # sweep is linear in --max-a (a sweep keyed by multisets took minutes)
+    start = time.perf_counter()
+    out = run_json(capsys, "lemma42", "[2]", "--max-a", "100000")
+    assert time.perf_counter() - start < 20
+    assert len(out["rows"]) == 100000
+    assert out["rows"][-1]["incidence"] == [100000]
 
 
 def test_lemma42_bounds_vectors_times_vertices(capsys):

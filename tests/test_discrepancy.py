@@ -241,3 +241,14 @@ def test_incidence_sweep_matches_the_exact_solver():
             assert cls is None
         else:
             assert cls == D.classify_incidence(g, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_a", [1, 2, 3, 4, 5])
+def test_incidence_sweep_order_matches_a_sorted_enumeration(n, max_a):
+    g = chain([2 + i % 3 for i in range(n)])
+    expected = sorted(
+        (a for a in itertools.product(range(max_a + 1), repeat=n) if 0 < sum(a) <= max_a),
+        key=lambda a: (sum(a), a),
+    )
+    assert [a for a, *_ in D.incidence_sweep(g, max_a)] == expected

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldp import linalg
 from ldp import picard as P
@@ -190,6 +192,55 @@ def test_class_json_roundtrip(base):
     assert P.class_from_json(P.class_to_json(cls)) == cls
 
 
+# -- the integer normal form of DivisorClass against a tuple of Fractions ---------
+
+BASIS4 = ("H", "e_1", "e_2", "e_3")
+fractions = st.builds(
+    Fraction, st.integers(-30, 30), st.integers(1, 12)
+) | st.integers(-30, 30).map(Fraction)
+coeff_tuples = st.tuples(*[fractions] * len(BASIS4))
+scalars = st.integers(-6, 6) | fractions
+
+
+def _model_repr(coeffs):
+    bits = [
+        f"{c}*{name}" if c != 1 else name for name, c in zip(BASIS4, coeffs) if c
+    ]
+    return " + ".join(bits) if bits else "0"
+
+
+def _assert_normal(cls, coeffs):
+    assert cls.coeffs == tuple(coeffs)
+    assert all(type(c) is Fraction for c in cls.coeffs)
+    assert cls.den > 0 and math.gcd(cls.den, *cls.nums) == 1
+    assert all(type(x) is int for x in cls.nums)
+    assert cls.is_integral() == all(c.denominator == 1 for c in coeffs)
+    assert repr(cls) == _model_repr(coeffs)
+    for name, c in zip(BASIS4, coeffs):
+        assert cls.coefficient(name) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeff_tuples, coeff_tuples, scalars)
+def test_divisor_class_arithmetic_matches_a_fraction_model(x, y, k):
+    a, b = P.DivisorClass.make(BASIS4, x), P.DivisorClass.make(BASIS4, y)
+    _assert_normal(a, x)
+    _assert_normal(a + b, [p + q for p, q in zip(x, y)])
+    _assert_normal(a - b, [p - q for p, q in zip(x, y)])
+    _assert_normal(-a, [-p for p in x])
+    _assert_normal(a * k, [p * k for p in x])
+    _assert_normal(k * a, [k * p for p in x])
+    dot = a.dot(b)
+    assert type(dot) is Fraction
+    assert dot == x[0] * y[0] - sum(p * q for p, q in zip(x[1:], y[1:]))
+    # one value reached two ways is one class: equal, and hashed alike
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a)
+    scaled = (a * 6) * Fraction(1, 6)
+    assert scaled == a and hash(scaled) == hash(a)
+    assert ((a - a) == P.DivisorClass.make(BASIS4, [0] * 4)) and (a - a).den == 1
+
+
 # -- the shared pullback core against a dense solve ------------------------------
 
 
@@ -222,6 +273,67 @@ def test_pullbacks_match_a_dense_solve(preset):
         assert P.pullback_weil(lat, cls, curves) == expected
         assert P.ceil_pullback(lat, cls, curves) == dense_pullback(
             lat, cls, curves or lat.contracted, math.ceil
+        )
+
+
+def _leading_minors_alternate(gram):
+    """Negative definite by Sylvester's criterion: the k-th leading minor,
+    by linalg.int_det, has the sign of (-1)^k for every k."""
+    return all(
+        (-1) ** k * linalg.int_det([row[:k] for row in gram[:k]]) > 0
+        for k in range(1, len(gram) + 1)
+    )
+
+
+@pytest.mark.parametrize("preset", ["2A4", "[3]", "[2,4]"])
+def test_compiled_contraction_matches_int_det_and_sylvester(preset):
+    lat = P.preset_2A4() if preset == "2A4" else P.preset_resolution(preset)
+    rng = random.Random(f"contraction:{preset}")
+    names = sorted(lat.named_curves)
+    definite = 0
+    for _ in range(60):
+        classes = tuple(lat.curve(n) for n in rng.sample(names, rng.randint(1, 8)))
+        gram = [[int(x.dot(y)) for y in classes] for x in classes]
+        if not _leading_minors_alternate(gram):
+            with pytest.raises(NotNegativeDefiniteError):
+                P._contraction(classes)
+            continue
+        definite += 1
+        con = P._contraction(classes)
+        assert [list(row) for row in con.gram] == gram
+        assert con.det == linalg.int_det(gram)
+        k = len(gram)
+        product = [
+            [sum(gram[i][m] * con.adjugate[m][j] for m in range(k)) for j in range(k)]
+            for i in range(k)
+        ]
+        assert product == [[con.det * (i == j) for j in range(k)] for i in range(k)]
+    assert 0 < definite < 60  # both branches are reached
+
+
+def test_non_integral_contracted_classes_pull_back_like_a_dense_solve(res24):
+    # C_2 / 2 and G_1 / 3 stand in for C_2 and G_1: the same span, other scales
+    named = dict(res24.named_curves)
+    named["C_2/2"] = Fraction(1, 2) * res24.curve("C_2")
+    named["G_1/3"] = Fraction(1, 3) * res24.curve("G_1")
+    lat = P.BlowupLattice(
+        res24.basis, res24.canonical, named, res24.contracted, res24.contracted_type
+    )
+    swap = {"C_2": "C_2/2", "G_1": "G_1/3"}
+    rng = random.Random("non-integral")
+    names = sorted(res24.named_curves)
+    for _ in range(30):
+        cls = lat.zero()
+        for name in rng.sample(names, 3):
+            cls = cls + rng.randint(-3, 3) * lat.curve(name)
+        cls = cls + Fraction(rng.randint(-3, 3), rng.randint(1, 4)) * lat.unit("H")
+        subset = rng.sample(lat.contracted, rng.randint(1, len(lat.contracted)))
+        if not swap.keys() & set(subset):
+            subset.append("C_2")
+        subset = [swap.get(n, n) for n in subset]
+        assert P.pullback_weil(lat, cls, subset) == dense_pullback(lat, cls, subset)
+        assert P.ceil_pullback(lat, cls, subset) == dense_pullback(
+            lat, cls, subset, math.ceil
         )
 
 
