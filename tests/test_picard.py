@@ -195,11 +195,11 @@ def test_class_json_roundtrip(base):
 # -- the integer normal form of DivisorClass against a tuple of Fractions ---------
 
 BASIS4 = ("H", "e_1", "e_2", "e_3")
-fractions = st.builds(
+rationals = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 12)
 ) | st.integers(-30, 30).map(Fraction)
-coeff_tuples = st.tuples(*[fractions] * len(BASIS4))
-scalars = st.integers(-6, 6) | fractions
+coeff_tuples = st.tuples(*[rationals] * len(BASIS4))
+scalars = st.integers(-6, 6) | rationals
 
 
 def _model_repr(coeffs):
