@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import discrepancy, feasibility, graphs, pencil, picard, verify
 from .poly import poly_to_json
@@ -215,28 +214,32 @@ def cmd_lemma42(args):
             f"--max-a {args.max_a} on {n} vertices gives {count} incidence vectors of "
             f"{n} entries, {count * n} cells, above the bound of {MAX_SWEEP_CELLS}"
         )
-    rows = []
-    agree = True
+    # every check that can raise runs here, before the first byte is written
+    _, mismatches = discrepancy.closed_form_check(g, args.max_a)
     delta = graphs.graph_determinant(g)
-    for a, _, scaled, cls, _, mismatches in discrepancy.incidence_sweep(g, args.max_a):
-        if cls is None:
-            row = {"incidence": a, "pairing": str(Fraction(scaled, delta))}
-        else:
-            # the classification holds the pairing, already a Fraction
-            row = {"incidence": a, "pairing": str(cls.pairing)}
-            if cls.case is not None:
-                row["case"] = cls.case
-            row["verdicts"] = cls.verdicts
-        agree = agree and not mismatches
-        rows.append(row)
-    _emit(
-        {
-            "notation": graphs.format_graph(g),
-            "max_a": args.max_a,
-            "closed_form_matches_solver": agree,
-            "rows": rows,
-        }
+    write = sys.stdout.write
+    # the text _emit writes for the document, each row as one piece
+    write(
+        '{\n "notation": ' + _escape(graphs.format_graph(g))
+        + ',\n "max_a": ' + str(args.max_a)
+        + ',\n "closed_form_matches_solver": ' + ("false" if mismatches else "true")
+        + ',\n "rows": ['
     )
+    lead = "\n  {"
+    for a, scaled, cls in discrepancy.incidence_sweep(g, args.max_a):
+        k = math.gcd(scaled, delta)
+        p, q = scaled // k, delta // k
+        row = (
+            lead + '\n   "incidence": [\n    ' + ",\n    ".join(map(str, a))
+            + '\n   ],\n   "pairing": "' + (f"{p}/{q}" if q != 1 else str(p)) + '"'
+        )
+        if cls is not None:
+            if cls.case is not None:
+                row += ',\n   "case": ' + _escape(cls.case)
+            row += ',\n   "verdicts": ' + _encode(cls.verdicts, "\n   ")
+        write(row + "\n  }")
+        lead = ",\n  {"
+    write("\n ]\n}\n")
 
 
 def cmd_hunt(args):

@@ -25,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .graphs import (
     InvariantError,
@@ -125,10 +125,23 @@ class _GraphData:
 
     @cached_property
     def adj(self):
-        """adj(-M) as a list of rows, one O(n) product per unit vector (it
-        is symmetric); only the incidence sweep needs it whole."""
+        """adj(-M) as a list of rows, one O(n) product per unit vector, each
+        checked >= 0, so that adj.a >= 0 for every a >= 0; only the incidence
+        sweep needs it whole.  Row j is adj.a for the unit vector at j, made
+        in the order the sweep meets the unit vectors, so an error names the
+        first vector of the sweep that breaks the check.  The adjugate is
+        symmetric: each row shares its entries past the diagonal with the
+        rows made before it, so n^2 / 2 integers are kept, not n^2."""
         n = len(self.kappa)
-        return [_adj_times(self.shape, [int(i == j) for i in range(n)]) for j in range(n)]
+        rows = [None] * n
+        for j in reversed(range(n)):
+            row = _adj_times(self.shape, [int(i == j) for i in range(n)])
+            if min(row) < 0:
+                a = tuple(int(i == j) for i in range(n))
+                raise InvariantError(f"negative coefficient {row}/{self.delta} for incidence {a}")
+            row[j + 1 :] = [rows[i][j] for i in range(j + 1, n)]
+            rows[j] = row
+        return rows
 
 
 def _graph_data(g):
@@ -291,11 +304,9 @@ def classify_incidence(g, a):
 
 def _display_scaled(shape, a, support, vertex):
     """delta*f at a support vertex by the display for the support pattern,
-    or None where no display covers it.  Each display is
-    (product of subgraph determinants / delta) * (sum of reciprocals),
+    which must be one point or two points of multiplicity one.  Each display
+    is (product of subgraph determinants / delta) * (sum of reciprocals),
     multiplied out here by delta."""
-    if len(support) > 2 or (len(support) == 2 and any(a[i] != 1 for i in support)):
-        return None
     other = sum(support) - vertex  # the other support vertex, if there is one
     if shape.chain:
         # the meeting points split the chain; g1 and g3 are the outer parts
@@ -318,7 +329,7 @@ def _display_scaled(shape, a, support, vertex):
     if c in support:
         bi, k = shape.at[sum(support) - c]
         d1 = d[bi]
-        d2, d3 = (d[j] for j in range(3) if j != bi)
+        d2, d3 = d[bi - 2], d[bi - 1]  # the other two branches
         g11 = outer[bi][k + 1]
         if vertex == c:
             return d2 * d3 + d1 * d3 + d1 * d2 - 2 * d1 * d2 * d3 - g11 * d2 * d3
@@ -327,7 +338,7 @@ def _display_scaled(shape, a, support, vertex):
         return g11 * (1 - x) + gp * (1 - g11) - g11 * d2 * d3
 
     bi, k = shape.at[vertex]
-    d2, d3 = (d[j] for j in range(3) if j != bi)
+    d2, d3 = d[bi - 2], d[bi - 1]  # the other two branches
     x = (d2 - 1) * (d3 - 1)
     g11 = outer[bi][k + 1]  # the branch beyond the vertex
     if len(support) == 1:
@@ -358,11 +369,10 @@ def closed_form_scaled(g, a, vertex):
     support = [i for i, x in enumerate(a) if x]
     if vertex not in support:
         raise UnsupportedConfigurationError("vertex is not in the support")
-    out = _display_scaled(shape, a, support, vertex)
-    if out is None:
+    if len(support) > 2 or (len(support) == 2 and any(a[i] != 1 for i in support)):
         kind = "chain" if shape.chain else "star"
         raise UnsupportedConfigurationError(f"no {kind} display for this support")
-    return out
+    return _display_scaled(shape, a, support, vertex)
 
 
 def closed_form_f(g, a, vertex):
@@ -374,56 +384,85 @@ def closed_form_f(g, a, vertex):
 # -- incidence sweep -----------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _sweep_plan(n, max_a):
+    """The incidence sweep on n vertices up to max_a, the same for every
+    graph: (steps, covered).  steps lists each nonzero vector with entries
+    summing to at most max_a, by sum and then in lexicographic order, as
+    (a, parent, j, support, pa, psupport): a = pa + e_j, parent the index
+    of pa counted from 1 (0 for the zero vector), and the sorted supports
+    of a and pa.  covered lists the entries of steps whose support vertices
+    all have a closed-form display: one point of any multiplicity, or two
+    points of multiplicity one."""
+    steps = []
+    covered = []
+    below = [(0, (0,) * n, 0, ())]  # (index, a, last step, support)
+    for total in range(1, max_a + 1):
+        level = []
+        for parent, pa, last, psupport in below:
+            # a vector steps at j from n - 1 down to its own last step
+            for j in range(n - 1, last - 1, -1):
+                a = pa[:j] + (pa[j] + 1,) + pa[j + 1 :]
+                support = psupport if j == last and total > 1 else psupport + (j,)
+                entry = (a, parent, j, support, pa, psupport)
+                steps.append(entry)
+                if total < max_a:
+                    level.append((len(steps), a, j, support))
+                if len(support) == 1 or total == 2:
+                    covered.append(entry)
+        below = level
+    # tuples: every caller of the cache shares them
+    return tuple(steps), tuple(covered)
+
+
 def incidence_sweep(g, max_a):
     """Every nonzero incidence vector with entries summing to at most max_a,
     by sum and then in lexicographic order, checked in integers.
 
-    Yields (a, dd, scaled, cls, displays, mismatches) per vector: dd =
-    delta*d = adj.a, scaled = delta*<a, b>, cls the classification when
-    <a, b> <= 2 (verdict UNSUPPORTED, case None, where no case covers the
-    support) and None above 2, displays the number of support vertices a
-    closed-form display covers, and mismatches how many of those displays
-    disagree with the solver.  Each vector is one unit step from a vector of
-    the previous sum, so dd costs one row addition and scaled O(1); the
-    sweep keeps reading dd, so callers must not modify it.
+    Yields (a, scaled, cls) per vector: scaled = delta*<a, b>, and cls the
+    classification when <a, b> <= 2 (verdict UNSUPPORTED, case None, where
+    no case covers the support) and None above 2.  Each vector a = p + e_j
+    of the plan costs O(|support of p|): delta*<a, b> - delta*<p, b> =
+    2 (adj.p)_j + adj_jj + (adj.kappa)_j.
     """
     data = _require_usable(g)
     delta, adj, ak = data.delta, data.adj, data.adj_kappa
-    shape = data.shape
     n = len(adj)
-    # delta*<a + e_j, b> - delta*<a, b> = 2 (adj.a)_j + adj_jj + (adj.kappa)_j
     step = [adj[j][j] + ak[j] for j in range(n)]
-    # each level's vectors in order, with their last step vertex (the largest
-    # in their support) and support; a vector's children step at j from
-    # n - 1 down to its own last step
-    below = [((0,) * n, [0] * n, 0, 0, ())]
-    for total in range(1, max_a + 1):
-        level = []
-        for pa, pdd, pscaled, last, psupport in below:
-            for j in range(n - 1, last - 1, -1):
-                scaled = pscaled + 2 * pdd[j] + step[j]
-                a = pa[:j] + (pa[j] + 1,) + pa[j + 1 :]
-                dd = list(map(operator.add, pdd, adj[j]))
-                if min(dd) < 0:
-                    raise InvariantError(f"negative coefficient {dd}/{delta} for incidence {a}")
-                support = psupport if j == last and total > 1 else psupport + (j,)
-                if total < max_a:
-                    level.append((a, dd, scaled, j, support))
-                cls = None
-                if scaled <= 2 * delta:
-                    try:
-                        cls = _classify(data, a, support, scaled)
-                    except UnsupportedConfigurationError:
-                        pairing = Fraction(scaled, delta)
-                        cls = IncidenceClassification((UNSUPPORTED,), None, pairing)
-                # the displays cover one point of any multiplicity and two
-                # points of multiplicity one
-                covered = support if len(support) == 1 or total == 2 else ()
-                mismatches = 0
-                for v in covered:
-                    mismatches += _display_scaled(shape, a, covered, v) != delta - dd[v] - ak[v]
-                yield a, dd, scaled, cls, len(covered), mismatches
-        below = level
+    bound = 2 * delta
+    scaled = [0]  # by index in the sweep, the zero vector first
+    for a, parent, j, support, pa, psupport in _sweep_plan(n, max_a)[0]:
+        row = adj[j]
+        s = scaled[parent] + step[j]
+        for i in psupport:
+            s += 2 * pa[i] * row[i]
+        scaled.append(s)
+        cls = None
+        if s <= bound:
+            try:
+                cls = _classify(data, a, support, s)
+            except UnsupportedConfigurationError:
+                cls = IncidenceClassification((UNSUPPORTED,), None, Fraction(s, delta))
+        yield a, s, cls
+
+
+def closed_form_check(g, max_a):
+    """(cases, mismatches) over the incidence sweep up to max_a: how many
+    support vertices a closed-form display covers, and at how many of those
+    the display disagrees with the solver, delta*f_v = delta - (adj.a)_v -
+    (adj.kappa)_v, with (adj.a)_v summed over the support."""
+    data = _require_usable(g)
+    delta, adj, ak, shape = data.delta, data.adj, data.adj_kappa, data.shape
+    cases = mismatches = 0
+    for a, _, _, support, _, _ in _sweep_plan(len(ak), max_a)[1]:
+        for v in support:
+            row = adj[v]
+            dd = 0
+            for i in support:
+                dd += a[i] * row[i]
+            mismatches += _display_scaled(shape, a, support, v) != delta - dd - ak[v]
+        cases += len(support)
+    return cases, mismatches
 
 
 def lct_min_resolution(g, a):

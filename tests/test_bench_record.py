@@ -1,4 +1,5 @@
-"""tools/bench_record.py refuses to record a side it cannot name."""
+"""tools/bench_record.py refuses to record a side it cannot name, and
+byte-compiles every side before it measures any."""
 
 import importlib.util
 import subprocess
@@ -42,3 +43,30 @@ def test_a_side_with_uncommitted_src_changes_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "side change" in err and "side parent" not in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_every_side_is_byte_compiled_before_the_first_run(tmp_path, monkeypatch):
+    tool = _load_tool()
+    sides = []
+    for label in ("parent", "change"):
+        for sub in ("src", "perfbench"):
+            (tmp_path / label / sub).mkdir(parents=True)
+            (tmp_path / label / sub / "mod.py").write_text("x = 1\n")
+        sides += ["--side", f"{label}={tmp_path / label}"]
+    compiled = []
+
+    class FirstRun(Exception):
+        pass
+
+    def first_run(root, *args):
+        compiled.extend(sorted(p.relative_to(tmp_path).parts for p in tmp_path.rglob("*.pyc")))
+        raise FirstRun
+
+    monkeypatch.setattr(tool, "dirty_src", lambda root: False)
+    monkeypatch.setattr(tool, "run", first_run)
+    with pytest.raises(FirstRun):
+        tool.main(["--out", str(tmp_path / "out.json"), *sides])
+    assert sorted(parts[:2] for parts in compiled) == [
+        ("change", "perfbench"), ("change", "src"), ("parent", "perfbench"), ("parent", "src")
+    ]
+    assert all(parts[2] == "__pycache__" and parts[3].startswith("mod.") for parts in compiled)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldp import cli, graphs, verify
+from ldp import cli, discrepancy, graphs, verify
 
 
 def run(capsys, *argv):
@@ -163,6 +163,18 @@ def test_a_reader_that_closes_early_ends_the_run_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141
     assert err == ""
+
+
+def test_python_m_ldp_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ldp", "parse", "[2]"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["notation"] == "[2]"
 
 
 def test_det_of_a_long_chain(capsys):
@@ -353,6 +365,78 @@ def test_lemma42_bounds_vectors_times_vertices(capsys):
     assert cli._sweep_size(6, 16) * 6 <= cli.MAX_SWEEP_CELLS
 
 
+def test_lemma42_writes_each_row_while_the_sweep_runs(monkeypatch):
+    events = []
+    sweep = discrepancy.incidence_sweep
+
+    def watched(g, max_a):
+        for row in sweep(g, max_a):
+            events.append("vector")
+            yield row
+
+    class Out(io.StringIO):
+        def write(self, text):
+            events.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(discrepancy, "incidence_sweep", watched)
+    out = Out()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["lemma42", "[2,3,2]", "--max-a", "3"]) == 0
+    rows = json.loads(out.getvalue())["rows"]
+    pieces = [i for i, e in enumerate(events) if '"incidence"' in e]
+    vectors = [i for i, e in enumerate(events) if e == "vector"]
+    assert len(pieces) == len(vectors) == len(rows) == 19
+    # row k is written after vector k is made and before vector k + 1 is
+    assert all(v < p for v, p in zip(vectors, pieces))
+    assert all(p < v for p, v in zip(pieces, vectors[1:]))
+
+
+def test_lemma42_checks_everything_before_it_writes(capsys, monkeypatch):
+    # affine E6 is not negative definite: refused before any output
+    code, out, err = run(capsys, "lemma42", "[2;[2,2],[2,2],[2,2]]", "--max-a", "2")
+    assert code == 2
+    assert out == ""
+    assert "not negative definite" in err
+    # a negative adjugate entry raises before the first byte, too
+    adj_times = discrepancy._adj_times
+    monkeypatch.setattr(
+        discrepancy, "_adj_times",
+        lambda shape, x: [-1] * len(x) if x[0] == 1 else adj_times(shape, x),
+    )
+    with pytest.raises(graphs.InvariantError, match="negative coefficient"):
+        cli.main(["lemma42", "[2,4]", "--max-a", "2"])
+    assert capsys.readouterr().out == ""
+
+
+def test_lemma42_rows_of_every_shape(capsys, monkeypatch):
+    rows = run_json(capsys, "lemma42", "[2]", "--max-a", "6")["rows"]
+    # integer pairings print without a denominator
+    assert [r["pairing"] for r in rows] == ["1/2", "2", "9/2", "8", "25/2", "18"]
+    assert rows[1]["verdicts"] == ["AlmostLC_a", "AlmostLC_b"]
+    rows = run_json(capsys, "lemma42", "[2,3,4]", "--max-a", "3")["rows"]
+    assert rows[6]["incidence"] == [1, 0, 1]
+    assert {"case": "1b", "verdicts": ["AlmostLC_c"]}.items() <= rows[6].items()
+    rows = run_json(capsys, "lemma42", "[3;[2],[2],[2,2]]", "--max-a", "4")["rows"]
+    assert {tuple(r) for r in rows} == {
+        ("incidence", "pairing"), ("incidence", "pairing", "case", "verdicts")
+    }
+    # a pattern no case covers has verdicts and no case
+    classify = discrepancy._classify
+
+    def uncovered(data, a, support, scaled):
+        if len(support) == 2:
+            raise discrepancy.UnsupportedConfigurationError("no case")
+        return classify(data, a, support, scaled)
+
+    monkeypatch.setattr(discrepancy, "_classify", uncovered)
+    code, out, _ = run(capsys, "lemma42", "[2,3,4]", "--max-a", "3")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
+    row = json.loads(out)["rows"][6]
+    assert row == {"incidence": [1, 0, 1], "pairing": row["pairing"], "verdicts": ["Unsupported"]}
+
+
 # -- the JSON writer ------------------------------------------------------------
 
 _scalars = (
@@ -411,6 +495,9 @@ def test_the_writer_refuses_what_json_dumps_would_not_write_the_same(data):
     ["report", "[2^3]"],
     ["lct", "[3;[2],[2],[3]]", "--incidence", "1,0,0,2"],
     ["lemma42", "[3;[2],[2],[2]]", "--max-a", "2"],
+    ["lemma42", "[2]", "--max-a", "6"],
+    ["lemma42", "[3;[2],[2],[2,2]]", "--max-a", "4"],
+    ["lemma42", "[2,3,4]", "--max-a", "3"],
     ["hunt", "[3;[2],[2],[5]]"],
     ["table1"],
     ["pencil", "--char", "7"],

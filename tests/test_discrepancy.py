@@ -1,6 +1,11 @@
+import importlib.util
 import itertools
+import math
+import operator
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,6 +16,8 @@ from ldp import discrepancy as D
 from ldp.graphs import WeightedDualGraph, chain, is_negative_definite, parse_dynkin, parse_graph, star
 
 weights = st.integers(min_value=2, max_value=7)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def sympy_discrepancies(g):
@@ -226,21 +233,27 @@ def test_closed_form_rejects_uncovered_supports():
 
 def test_incidence_sweep_matches_the_exact_solver():
     g = star(3, ((2, 2), (3,), (4,)))
-    delta = D._graph_data(g).delta
+    data = D._graph_data(g)
+    delta = data.delta
     rows = list(D.incidence_sweep(g, 3))
     assert len(rows) == 55  # C(3 + 5, 5) - 1 nonzero vectors
     assert [sum(a) for a, *_ in rows] == sorted(sum(a) for a, *_ in rows)
-    for a, dd, scaled, cls, displays, mismatches in rows:
-        data = D.pair_coefficients(g, a)
-        assert [Fraction(x, delta) for x in dd] == list(data.d)
-        assert Fraction(scaled, delta) == data.pairing
-        support = [x for x in a if x]
-        assert displays == (len(support) if support in ([1], [2], [3], [1, 1]) else 0)
-        assert mismatches == 0
-        if data.pairing > 2:
+    for a, scaled, cls in rows:
+        solved = D.pair_coefficients(g, a)
+        # the adjugate the sweep steps along gives delta*d
+        assert [Fraction(sum(map(operator.mul, row, a)), delta) for row in data.adj] == list(
+            solved.d
+        )
+        assert Fraction(scaled, delta) == solved.pairing
+        if solved.pairing > 2:
             assert cls is None
         else:
             assert cls == D.classify_incidence(g, a)
+    # the displays cover one point of any multiplicity and two points of
+    # multiplicity one, and agree with the solver
+    covered = [a for a, *_ in rows if [x for x in a if x] in ([1], [2], [3], [1, 1])]
+    assert [a for a, *_ in D._sweep_plan(len(g.vertices), 3)[1]] == covered
+    assert D.closed_form_check(g, 3) == (sum(sum(map(bool, a)) for a in covered), 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -252,3 +265,91 @@ def test_incidence_sweep_order_matches_a_sorted_enumeration(n, max_a):
         key=lambda a: (sum(a), a),
     )
     assert [a for a, *_ in D.incidence_sweep(g, max_a)] == expected
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_a", [1, 2, 3, 4, 5])
+def test_sweep_plan_is_the_sorted_enumeration_by_unit_steps(n, max_a):
+    steps, covered = D._sweep_plan(n, max_a)
+    expected = sorted(
+        (a for a in itertools.product(range(max_a + 1), repeat=n) if 0 < sum(a) <= max_a),
+        key=lambda a: (sum(a), a),
+    )
+    assert [a for a, *_ in steps] == expected
+    vectors = [(0,) * n] + expected  # by index, the zero vector first
+    for a, parent, j, support, pa, psupport in steps:
+        assert pa == vectors[parent] and sum(pa) == sum(a) - 1
+        assert a == tuple(x + (i == j) for i, x in enumerate(pa))
+        assert support == tuple(i for i, x in enumerate(a) if x)
+        assert psupport == tuple(i for i, x in enumerate(pa) if x)
+    # n * max_a single points and, from max_a 2 on, C(n, 2) pairs
+    assert len(covered) == n * max_a + (math.comb(n, 2) if max_a > 1 else 0)
+    assert all(entry in steps for entry in covered)
+
+
+def test_sweep_plan_cache_stays_bounded():
+    limit = D._sweep_plan.cache_info().maxsize
+    assert limit is not None and limit <= 8
+    for n in range(1, 4):
+        for max_a in range(1, 6):
+            D._sweep_plan(n, max_a)
+            assert D._sweep_plan.cache_info().currsize <= limit
+
+
+@pytest.mark.parametrize("g", [chain([2, 3, 2, 4]), star(2, ((2,), (3,), (2, 2)))])
+def test_sweep_scaled_and_classes_match_the_direct_functions(g):
+    bound = 2 * D._graph_data(g).delta
+    rows = list(D.incidence_sweep(g, 4))
+    assert len(rows) == math.comb(4 + len(g.vertices), 4) - 1
+    for a, scaled, cls in rows:
+        assert scaled == D.pairing_scaled(g, a)
+        assert cls == (D.classify_incidence(g, a) if scaled <= bound else None)
+
+
+def _per_vector_displays(g, max_a, display=None):
+    """(cases, mismatches) as a sweep summing over every vector counts them:
+    the support vertices of one point of any multiplicity or of two points
+    of multiplicity one, each display against delta*f from the solver."""
+    display = display or D.closed_form_scaled
+    delta = D._graph_data(g).delta
+    cases = mismatches = 0
+    for a in itertools.product(range(max_a + 1), repeat=len(g.vertices)):
+        support = [i for i, x in enumerate(a) if x]
+        if not support or sum(a) > max_a or not (len(support) == 1 or sum(a) == 2):
+            continue
+        f = D.pair_coefficients(g, a).f
+        for v in support:
+            cases += 1
+            mismatches += display(g, a, v) != delta * f[v]
+    return cases, mismatches
+
+
+def test_closed_form_check_matches_the_per_vector_sum_on_the_benchmark_sample(monkeypatch):
+    for name in ("refs", "workloads"):  # workloads imports refs
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    workloads = sys.modules["workloads"]
+    sample = [
+        parse_graph(g.notation())
+        for seed in (1, 2, 3)
+        for g in workloads._sweep_sample(workloads._rng("paper_checks", seed))
+    ]
+    assert len(sample) == 174
+    for g in sample:
+        assert D.closed_form_check(g, workloads.SWEEP_MAX_A) == _per_vector_displays(
+            g, workloads.SWEEP_MAX_A
+        )
+
+
+def test_closed_form_check_counts_disagreeing_displays(monkeypatch):
+    display = D._display_scaled
+    # a display that is off by one wherever the vertex has multiplicity 2
+    monkeypatch.setattr(
+        D, "_display_scaled", lambda shape, a, support, v: display(shape, a, support, v) + (a[v] == 2)
+    )
+    for g in (chain([2, 5, 3]), star(3, ((2,), (3,), (2, 4)))):
+        cases, mismatches = D.closed_form_check(g, 3)
+        assert mismatches == len(g.vertices) > 0
+        assert (cases, mismatches) == _per_vector_displays(g, 3, D.closed_form_scaled)
+
+

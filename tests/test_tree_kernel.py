@@ -8,7 +8,9 @@ of the subgraph determinants of the chain or star; `linalg.int_det` and
 
 import hashlib
 import inspect
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from ldp import cli, linalg, verify
 from ldp import discrepancy as D
 from ldp.graphs import (
+    InvariantError,
     NotNegativeDefiniteError,
     WeightedDualGraph,
     _adjacency,
@@ -29,6 +32,7 @@ from ldp.graphs import (
     graph_determinant,
     intersection_matrix,
     is_negative_definite,
+    parse_graph,
     star,
 )
 
@@ -156,6 +160,37 @@ def test_sweep_graphs_yields_each_canonical_graph_once_and_lets_it_go():
     # pinned: the keys of the domain group 5 sweeps, in the order it sweeps them
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == "17ca7e35962a0d4ef1750f30ea4c6509ea577fed2f0068bacd5fdf4b9050d98a"
+
+
+def test_group_5_counts_each_unit_increment_once_and_none_shrinks_the_pairing(monkeypatch):
+    sample = [chain([2]), chain([3, 2, 5]), star(2, ((2,), (2,), (3, 2)))]
+    monkeypatch.setattr(verify, "_sweep_graphs", lambda: iter(sample))
+    counted = verify._incidence_checks()["incidence-monotonicity"]
+    expected = sum(len(g.vertices) * (math.comb(len(g.vertices) + 3, 3) - 1) for g in sample)
+    assert counted == {"cases": expected, "violations": 0}
+    # increment by increment, from the pairing itself
+    cases = violations = 0
+    for g in sample:
+        n = len(g.vertices)
+        for a in itertools.product(range(4), repeat=n):
+            if 0 < sum(a) <= 3:
+                for j in range(n):
+                    up = tuple(x + (i == j) for i, x in enumerate(a))
+                    cases += 1
+                    violations += D.pairing_scaled(g, up) < D.pairing_scaled(g, a)
+    assert (cases, violations) == (expected, 0)
+
+
+def test_group_5_raises_on_a_negative_adjugate_entry_and_counts_nothing(monkeypatch):
+    adj_times = D._adj_times
+    # a negative first adjugate row, while adj.kappa stays right
+    monkeypatch.setattr(
+        D, "_adj_times", lambda shape, x: [-1] * len(x) if x[0] == 1 else adj_times(shape, x)
+    )
+    monkeypatch.setattr(verify, "_sweep_graphs", lambda: iter([parse_graph("[2,4]")]))
+    message = r"negative coefficient \[-1, -1\]/7 for incidence \(1, 0\)"
+    with pytest.raises(InvariantError, match=message):
+        verify._incidence_checks()
 
 
 # Each case swaps one name for a fake that breaks one guaranteed identity and

@@ -7,7 +7,10 @@ Each side is a checkout of this repository; its own `perfbench/run.py` runs
 against its own `src/`, so both sides use the benchmark code they carry.
 For every workload `BENCHMARK.json` lists, the sides take turns, one
 `--trace 0` run each per round for `--pairs` rounds, and the side that goes
-first alternates between rounds. Each run lasts `run_seconds` from
+first alternates between rounds. Before the first run, every side's `src/`
+and `perfbench/` are byte-compiled, so that no side pays for compiling its
+modules in its runs while another loads them from caches an earlier run
+left. Each run lasts `run_seconds` from
 `BENCHMARK.json`. Then each side makes one `--trace 1` run of every workload
 in TRACED, for the per-layer numbers. Last, the sides take turns in the same
 way at `ldp verify-paper --json`, one fresh process per run, which records
@@ -22,6 +25,7 @@ refused (exit 2), since its tree id would not name the code that ran.
 """
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -96,6 +100,13 @@ def dirty_src(root):
     return bool(proc.stdout.strip())
 
 
+def compile_side(root):
+    """Byte-compile the checkout at root: its `src/` and `perfbench/`, the
+    code its runs import.  True when every module compiled."""
+    return all(compileall.compile_dir(os.path.join(root, sub), quiet=1)
+               for sub in ("src", "perfbench"))
+
+
 def summary(runs, names):
     """Median and quartiles of each metric over the runs."""
     out = {"median": {}, "quartiles": {}}
@@ -154,6 +165,9 @@ def main(argv=None):
         if dirty_src(root):
             parser.error(f"side {label} ({root}) has uncommitted changes under src/; "
                          "commit them, or record a committed clone")
+    for label, root in sides.items():
+        if not compile_side(root):
+            parser.error(f"side {label} ({root}) does not compile")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     seconds = bench["run_seconds"]
