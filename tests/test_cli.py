@@ -409,6 +409,13 @@ def test_lemma42_checks_everything_before_it_writes(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_lemma42_reports_a_display_that_disagrees(capsys, monkeypatch):
+    display = discrepancy._display_scaled
+    monkeypatch.setattr(discrepancy, "_display_scaled", lambda *args: display(*args) + 1)
+    data = run_json(capsys, "lemma42", "[2,4]", "--max-a", "2")
+    assert data["closed_form_matches_solver"] is False
+
+
 def test_lemma42_rows_of_every_shape(capsys, monkeypatch):
     rows = run_json(capsys, "lemma42", "[2]", "--max-a", "6")["rows"]
     # integer pairings print without a denominator

@@ -265,6 +265,8 @@ def test_incidence_sweep_order_matches_a_sorted_enumeration(n, max_a):
         key=lambda a: (sum(a), a),
     )
     assert [a for a, *_ in D.incidence_sweep(g, max_a)] == expected
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("max_a", [1, 2, 3, 4, 5])
 def test_sweep_plan_is_the_sorted_enumeration_by_unit_steps(n, max_a):
@@ -351,5 +353,3 @@ def test_closed_form_check_counts_disagreeing_displays(monkeypatch):
         cases, mismatches = D.closed_form_check(g, 3)
         assert mismatches == len(g.vertices) > 0
         assert (cases, mismatches) == _per_vector_displays(g, 3, D.closed_form_scaled)
-
-
