@@ -167,12 +167,15 @@ def _graph_data(g):
 
 
 def _check_incidence(g, a):
+    """a as a tuple of ints, one per vertex of g, none negative."""
+    a = tuple(int(x) for x in a)
     if len(a) != len(g.vertices):
         raise IndexMismatchError(
             f"incidence vector has {len(a)} entries for {len(g.vertices)} vertices"
         )
     if any(x < 0 for x in a):
         raise IndexMismatchError("incidence entries must be >= 0")
+    return a
 
 
 def discrepancies(g):
@@ -201,8 +204,7 @@ class DiscrepancyData:
 
 def pair_coefficients(g, a):
     data = _require_usable(g)
-    a = tuple(int(x) for x in a)
-    _check_incidence(g, a)
+    a = _check_incidence(g, a)
     dd = _adj_times(data.shape, a)
     if min(dd) < 0:
         raise InvariantError(f"negative coefficient {dd}/{data.delta} for incidence {a}")
@@ -291,8 +293,7 @@ def _classify(data, a, support, scaled):
 
 def classify_incidence(g, a):
     data = _require_usable(g)
-    a = tuple(int(x) for x in a)
-    _check_incidence(g, a)
+    a = _check_incidence(g, a)
     if not any(a):
         raise ZeroIncidenceError("incidence vector is zero")
     support = [i for i, x in enumerate(a) if x]
@@ -364,8 +365,7 @@ def closed_form_scaled(g, a, vertex):
     determinant formula matching the support pattern; raises if no display
     covers (g, a, vertex)."""
     shape = _require_usable(g).shape
-    a = tuple(int(x) for x in a)
-    _check_incidence(g, a)
+    a = _check_incidence(g, a)
     support = [i for i, x in enumerate(a) if x]
     if vertex not in support:
         raise UnsupportedConfigurationError("vertex is not in the support")

@@ -7,6 +7,7 @@ bound, a genus Diophantine check, and a semistability flag whose values for
 the tabulated configurations are pinned reference data.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,26 +46,18 @@ def bogomolov_mode():
     return MODE_PINNED
 
 
-_FEASIBLE_KEYS = None
-_PINNED_KEYS = None
-
-
+@functools.cache
 def _pinned_tables():
     # Frozen lookup: every tabulated configuration with parameters up to 4 is
     # flagged Infeasible except the two feasible types.
-    global _FEASIBLE_KEYS, _PINNED_KEYS
-    if _PINNED_KEYS is None:
-        _FEASIBLE_KEYS = frozenset(
-            graphs.parse_dynkin(s).canonical_key()
-            for s in ("2[2^4]+[3]", "2[2^4]+[2,4]")
-        )
-        _PINNED_KEYS = frozenset(
-            t.canonical_key()
-            for _, t in graphs.table1_enumerate(
-                n_range=(0, 4), m_range=(1, 4), l_values=None
-            )
-        )
-    return _PINNED_KEYS, _FEASIBLE_KEYS
+    feasible = frozenset(
+        graphs.parse_dynkin(s).canonical_key() for s in ("2[2^4]+[3]", "2[2^4]+[2,4]")
+    )
+    pinned = frozenset(
+        t.canonical_key()
+        for _, t in graphs.table1_enumerate(n_range=(0, 4), m_range=(1, 4), l_values=None)
+    )
+    return pinned, feasible
 
 
 def bogomolov_flag(t):

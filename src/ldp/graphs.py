@@ -208,24 +208,22 @@ def _path(adj, first, prev):
         path.append(nxt[0])
 
 
-def chain(weights, prefix="v"):
-    verts = tuple((f"{prefix}{i}", w) for i, w in enumerate(weights))
-    edges = frozenset(
-        frozenset((f"{prefix}{i}", f"{prefix}{i+1}")) for i in range(len(weights) - 1)
-    )
+def chain(weights):
+    verts = tuple((f"v{i}", w) for i, w in enumerate(weights))
+    edges = frozenset(frozenset((f"v{i}", f"v{i+1}")) for i in range(len(weights) - 1))
     return WeightedDualGraph(verts, edges)
 
 
-def star(center_weight, branch_weights, prefix="v"):
+def star(center_weight, branch_weights):
     if len(branch_weights) != 3 or any(not b for b in branch_weights):
         raise ValueError("a star needs exactly three nonempty branches")
-    verts = [(f"{prefix}0", center_weight)]
+    verts = [("v0", center_weight)]
     edges = []
     idx = 1
     for branch in branch_weights:
-        prev = f"{prefix}0"
+        prev = "v0"
         for w in branch:
-            vid = f"{prefix}{idx}"
+            vid = f"v{idx}"
             idx += 1
             verts.append((vid, w))
             edges.append(frozenset((prev, vid)))
@@ -272,16 +270,23 @@ def _component_sort_key(g):
 # -- formatting -------------------------------------------------------------
 
 
-def _format_runs(weights):
+def _join_runs(items, sep, run):
+    """items joined by sep, with each run of k >= 2 equal items written as
+    run(item, k)."""
     out = []
-    i = 0
-    while i < len(weights):
-        j = i
-        while j < len(weights) and weights[j] == weights[i]:
+    i, n = 0, len(items)
+    while i < n:
+        x = items[i]
+        j = i + 1
+        while j < n and items[j] == x:
             j += 1
-        out.append(f"{weights[i]}^{j - i}" if j - i >= 2 else str(weights[i]))
+        out.append(run(x, j - i) if j - i >= 2 else str(x))
         i = j
-    return ",".join(out)
+    return sep.join(out)
+
+
+def _format_runs(weights):
+    return _join_runs(weights, ",", "{}^{}".format)
 
 
 def format_graph(g):
@@ -297,15 +302,7 @@ def format_graph(g):
 
 def format_dynkin(t):
     comps = [format_graph(g) for g in t.sorted_components()]
-    out = []
-    i = 0
-    while i < len(comps):
-        j = i
-        while j < len(comps) and comps[j] == comps[i]:
-            j += 1
-        out.append(f"{j - i}{comps[i]}" if j - i >= 2 else comps[i])
-        i = j
-    return "+".join(out)
+    return _join_runs(comps, "+", "{1}{0}".format)
 
 
 # -- parsing ----------------------------------------------------------------

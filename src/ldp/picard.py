@@ -394,10 +394,7 @@ def ray_trivial_coefficient(lat, e, sigma):
 def class_to_json(cls):
     return {
         "basis": list(cls.basis),
-        "coeffs": [
-            f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-            for c in cls.coeffs
-        ],
+        "coeffs": [str(c) for c in cls.coeffs],
     }
 
 

@@ -513,7 +513,7 @@ def binary_gcd(f, g, u, v):
 def poly_to_json(f):
     def show(c):
         if isinstance(c, Fraction):
-            return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
+            return str(c)
         if isinstance(c, FpElement):
             return str(c.val)
         raise TypeError(f"cannot serialize {c!r}")

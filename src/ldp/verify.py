@@ -110,10 +110,10 @@ def _display_checks():
 # -- group 3: pullback, rounding, Euler characteristic ---------------------------
 
 
-def _chi_tuples(seed=20240817, count=20):
-    rng = random.Random(seed)
+def _chi_tuples():
+    rng = random.Random(20240817)
     tuples = []
-    for _ in range(count):
+    for _ in range(20):
         ns = [rng.randint(-4, 4) for _ in range(5)]
         ns.append(-sum(ns))
         tuples.append(ns)
@@ -181,34 +181,30 @@ def _identity_checks():
 # -- group 5: incidence-coefficient sweep ----------------------------------------
 
 
-def _sweep_graphs(max_vertices=6, max_weight=5):
-    """Every negative definite chain and star of the sweep domain, once per
-    canonical form.  A generator: each graph keeps its own record, so only
-    the one being swept is held.  The candidates come in lexicographic order
-    of their weights, so the first of each canonical form is already in
-    canonical vertex order."""
-    seen = set()
-
-    def candidates():
-        for n in range(1, max_vertices + 1):
-            for ws in itertools.product(range(2, max_weight + 1), repeat=n):
+def _sweep_graphs():
+    """Every chain and star with at most six vertices and weights 2 to 5,
+    each once and in canonical vertex order: a chain's weights are no
+    greater than their reverse, and a star's branches are sorted by (length,
+    weights), as in the canonical key.  Each is negative definite, since its
+    all-(-2) version is A_n, D_n or E_6 and larger weights only add to the
+    diagonal of -M; a graph that is not would make its record raise.  A
+    generator: each graph keeps its own record, so only the one being swept
+    is held."""
+    weights = range(2, 6)
+    for n in range(1, 7):
+        for ws in itertools.product(weights, repeat=n):
+            if ws <= ws[::-1]:
                 yield graphs.chain(ws)
-        for total in range(4, max_vertices + 1):
-            for l1 in range(1, total - 2):
-                for l2 in range(l1, total - 1 - l1):
-                    l3 = total - 1 - l1 - l2
-                    if l3 < l2:
-                        continue
-                    for ws in itertools.product(range(2, max_weight + 1), repeat=total):
-                        rest = ws[1:]
-                        yield graphs.star(ws[0], (rest[:l1], rest[l1 : l1 + l2], rest[l1 + l2 :]))
-
-    for g in candidates():
-        if graphs.is_negative_definite(g):
-            key = g.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                yield g
+    for total in range(4, 7):
+        for l1 in range(1, total - 2):
+            for l2 in range(l1, total - 1 - l1):
+                l3 = total - 1 - l1 - l2
+                if l3 < l2:
+                    continue
+                for ws in itertools.product(weights, repeat=total):
+                    b1, b2, b3 = ws[1 : 1 + l1], ws[1 + l1 : total - l3], ws[total - l3 :]
+                    if (l1, b1) <= (l2, b2) <= (l3, b3):
+                        yield graphs.star(ws[0], (b1, b2, b3))
 
 
 def _incidence_checks():

@@ -129,7 +129,7 @@ def test_small_battery_over_the_table():
     assert INFEASIBLE in flags
 
 
-def test_types_without_two_a4_chains_skip_the_pinned_table(monkeypatch):
+def test_types_without_two_a4_chains_skip_the_pinned_table():
     pinned, feasible = feasibility._pinned_tables()
 
     def lookup(t):
@@ -153,8 +153,7 @@ def test_types_without_two_a4_chains_skip_the_pinned_table(monkeypatch):
     others = [parse_dynkin(s) for s in ("[2^4]+[3]", "[2^4]+[2,4]", "2[2^4]+[2,3]", "3[2^4]")]
     for t in list(tabulated) + singles + others:
         assert bogomolov_flag(t) == lookup(t), t
-    monkeypatch.setattr(feasibility, "_PINNED_KEYS", None)
-    monkeypatch.setattr(feasibility, "_FEASIBLE_KEYS", None)
+    feasibility._pinned_tables.cache_clear()
     for t in singles + others[:2]:
         assert bogomolov_flag(t) == NOT_EXCLUDED
-    assert feasibility._PINNED_KEYS is None
+    assert feasibility._pinned_tables.cache_info().currsize == 0

@@ -162,6 +162,27 @@ def test_sweep_graphs_yields_each_canonical_graph_once_and_lets_it_go():
     assert digest == "17ca7e35962a0d4ef1750f30ea4c6509ea577fed2f0068bacd5fdf4b9050d98a"
 
 
+def test_sweep_graphs_builds_only_the_graphs_it_yields(monkeypatch):
+    built = []
+    for name in ("chain", "star"):
+        make = getattr(verify.graphs, name)
+        counted = lambda *args, make=make: built.append(args) or make(*args)
+        monkeypatch.setattr(verify.graphs, name, counted)
+    assert sum(1 for _ in verify._sweep_graphs()) == len(built) == 8270
+    assert not inspect.signature(verify._sweep_graphs).parameters
+
+
+def test_every_graph_group_5_sweeps_is_negative_definite():
+    assert all(is_negative_definite(g) for g in verify._sweep_graphs())
+
+
+def test_group_5_raises_on_an_indefinite_graph(monkeypatch):
+    # the affine E_6 star: det(-M) = 0
+    monkeypatch.setattr(verify, "_sweep_graphs", lambda: iter([parse_graph("[2;[2,2],[2,2],[2,2]]")]))
+    with pytest.raises(NotNegativeDefiniteError):
+        verify._incidence_checks()
+
+
 def test_group_5_counts_each_unit_increment_once_and_none_shrinks_the_pairing(monkeypatch):
     sample = [chain([2]), chain([3, 2, 5]), star(2, ((2,), (2,), (3, 2)))]
     monkeypatch.setattr(verify, "_sweep_graphs", lambda: iter(sample))
