@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from . import discrepancy, feasibility, graphs, pencil, picard, verify
+from . import discrepancy, feasibility, graphs, pencil, verify
 from .poly import poly_to_json
 from .fields import QQ, PrimeField
 from .graphs import DynkinSyntaxError

@@ -214,31 +214,11 @@ def pair_coefficients(g, a):
     return DiscrepancyData(a, d, data.e, b, f)
 
 
-def selfint_kc(g, a, pa=0):
-    """(K + C . C) for a curve of arithmetic genus pa meeting the graph in a."""
-    if pa < 0:
-        raise ValueError("arithmetic genus must be >= 0")
-    if g.is_empty():
-        if any(a):
-            raise IndexMismatchError("nonzero incidence on the empty graph")
-        return Fraction(2 * (pa - 1))
-    return 2 * (pa - 1) + pair_coefficients(g, a).pairing
-
-
 def _scaled_pairing(data, a):
     """delta*<a, b> = sum of a_i ((adj.a)_i + (adj.kappa)_i)."""
     return sum(
         ai * (x + k) for ai, x, k in zip(a, _adj_times(data.shape, a), data.adj_kappa) if ai
     )
-
-
-def pairing_scaled(g, a):
-    """<a, b> times the graph determinant, as an integer.
-
-    Avoids rational arithmetic in brute-force sweeps: <a, b> <= 2 iff
-    pairing_scaled(g, a) <= 2 * graph_determinant(g).
-    """
-    return _scaled_pairing(_require_usable(g), a)
 
 
 @dataclass(frozen=True)
@@ -358,27 +338,6 @@ def _display_scaled(shape, a, support, vertex):
     if k == i1:
         return g11 * (1 - x) + ga * (1 - g11) - g11 * gb
     return gc * (1 - x) + gb * (1 - gc) - gb * g11
-
-
-def closed_form_scaled(g, a, vertex):
-    """delta*f at the given vertex position, as an integer, by the displayed
-    determinant formula matching the support pattern; raises if no display
-    covers (g, a, vertex)."""
-    shape = _require_usable(g).shape
-    a = _check_incidence(g, a)
-    support = [i for i, x in enumerate(a) if x]
-    if vertex not in support:
-        raise UnsupportedConfigurationError("vertex is not in the support")
-    if len(support) > 2 or (len(support) == 2 and any(a[i] != 1 for i in support)):
-        kind = "chain" if shape.chain else "star"
-        raise UnsupportedConfigurationError(f"no {kind} display for this support")
-    return _display_scaled(shape, a, support, vertex)
-
-
-def closed_form_f(g, a, vertex):
-    """f at the given vertex position, by the displayed determinant formula
-    matching the support pattern; raises if no display covers (g, a, vertex)."""
-    return Fraction(closed_form_scaled(g, a, vertex), _graph_data(g).delta)
 
 
 # -- incidence sweep -----------------------------------------------------------

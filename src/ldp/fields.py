@@ -1,8 +1,10 @@
 """Coefficient fields: the rationals, prime fields, and quadratic extensions.
 
 A field object exposes zero/one, coerce, characteristic, and produces
-elements supporting +, -, *, /, ==.  Quadratic extensions adjoin a root
-theta of x^2 + c1 x + c0 and divide via the conjugate.
+elements supporting +, -, *, /, ==.  Arithmetic lifts ints into the field,
+but an element equals only elements of its own field, so equal elements hash
+alike.  Quadratic extensions adjoin a root theta of x^2 + c1 x + c0 and
+divide via the conjugate.
 """
 
 from __future__ import annotations
@@ -109,8 +111,6 @@ class FpElement:
         return FpElement(self.p, pow(self.val, n, self.p))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.val == other % self.p
         if isinstance(other, FpElement):
             return self.p == other.p and self.val == other.val
         return NotImplemented
@@ -246,10 +246,9 @@ class QuadElement:
         return out
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if not isinstance(other, QuadElement):
             return NotImplemented
-        return self.u == o.u and self.v == o.v
+        return self.field == other.field and self.u == other.u and self.v == other.v
 
     def __hash__(self):
         return hash((self.u, self.v))

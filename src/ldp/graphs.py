@@ -649,9 +649,3 @@ def graph_to_json(g):
         "vertices": [{"id": v, "self_int": -w} for v, w in g.vertices],
         "edges": sorted(sorted(e) for e in g.edges),
     }
-
-
-def graph_from_json(data):
-    verts = tuple((v["id"], -v["self_int"]) for v in data["vertices"])
-    edges = frozenset(frozenset(e) for e in data["edges"])
-    return WeightedDualGraph(verts, edges)

@@ -365,10 +365,6 @@ class WeightedMemberReport:
     cusp_support_ok: bool
     smooth: bool
 
-    @property
-    def all_ok(self):
-        return self.degree_ok and self.cusp_support_ok and self.smooth
-
 
 def _binary_form_squarefree(h, u, v):
     if h.is_zero():

@@ -39,10 +39,6 @@ class AmbiguousSupportError(ValueError):
     pass
 
 
-class RayOrthogonalError(ValueError):
-    pass
-
-
 def _form(x, y):
     """x.y under (+1, -1, ..., -1) on integer coefficient vectors."""
     return 2 * x[0] * y[0] - sum(map(mul, x, y))
@@ -371,32 +367,7 @@ def round_up(lat, cls, support):
     return out
 
 
-def arithmetic_genus(lat, cls):
-    return cls.dot(cls + lat.canonical) / 2 + 1
-
-
 def chi_riemann_roch(lat, cls):
     if not cls.is_integral():
         raise NonIntegralClassError(f"{cls!r} is not integral")
     return 1 + (cls.dot(cls) - cls.dot(lat.canonical)) / 2
-
-
-def ray_trivial_coefficient(lat, e, sigma):
-    den = e.dot(sigma)
-    if not den:
-        raise RayOrthogonalError("E meets the ray trivially")
-    return -lat.canonical.dot(sigma) / den
-
-
-# -- JSON ----------------------------------------------------------------------
-
-
-def class_to_json(cls):
-    return {
-        "basis": list(cls.basis),
-        "coeffs": [str(c) for c in cls.coeffs],
-    }
-
-
-def class_from_json(data):
-    return DivisorClass.make(data["basis"], [Fraction(c) for c in data["coeffs"]])

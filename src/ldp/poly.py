@@ -525,8 +525,3 @@ def poly_to_json(f):
     if f.weights is not None:
         out["weights"] = list(f.weights)
     return out
-
-
-def poly_from_json(data, field):
-    terms = {tuple(t["exp"]): field.coerce(str(t["coeff"])) for t in data["terms"]}
-    return ExactPolynomial.make(field, data["vars"], terms, data.get("weights"))

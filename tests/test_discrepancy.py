@@ -67,21 +67,14 @@ def test_pair_coefficients_relations():
     assert data.pairing == sum(x * b for x, b in zip(a, data.b))
 
 
-def test_pairing_scaled_agrees_with_exact_pairing():
+def test_scaled_pairing_agrees_with_exact_pairing():
     g = star(3, ((2, 2), (3,), (4,)))
     from ldp.graphs import intersection_matrix
 
     delta = abs(sympy.Matrix(intersection_matrix(g)).det())
     for a in [(1, 0, 0, 0, 0), (0, 2, 0, 1, 0), (1, 1, 1, 1, 1)]:
         data = D.pair_coefficients(g, a)
-        assert D.pairing_scaled(g, a) == data.pairing * delta
-
-
-def test_selfint_formula():
-    g = chain([2, 4])
-    a = (1, 0)
-    data = D.pair_coefficients(g, a)
-    assert D.selfint_kc(g, a) == 2 * (0 - 1) + data.pairing
+        assert D._scaled_pairing(D._graph_data(g), a) == data.pairing * delta
 
 
 def test_classify_log_resolution():
@@ -124,15 +117,11 @@ def test_closed_form_matches_solver_spot_checks():
         (star(3, ((2, 2), (3,), (4,))), (1, 0, 1, 0, 0)),
     ]
     for g, a in cases:
-        data = D.pair_coefficients(g, a)
-        for v, x in enumerate(a):
-            if x:
-                assert D.closed_form_f(g, a, v) == data.f[v]
-
-
-def test_closed_form_rejects_off_support_vertex():
-    with pytest.raises(D.UnsupportedConfigurationError):
-        D.closed_form_f(chain([2, 4]), (1, 0), 1)
+        data = D._graph_data(g)
+        f = D.pair_coefficients(g, a).f
+        support = [i for i, x in enumerate(a) if x]
+        for v in support:
+            assert D._display_scaled(data.shape, a, support, v) == data.delta * f[v]
 
 
 def test_lct_log_resolution_example():
@@ -212,23 +201,16 @@ def test_every_display_branch_agrees_with_the_solver_on_small_trees():
     reached = Counter()
     for g in _small_trees():
         n = len(g.vertices)
-        delta = D._graph_data(g).delta
+        data = D._graph_data(g)
         cases = [tuple(m if i == u else 0 for i in range(n)) for u in range(n) for m in (1, 2, 3)]
         cases += [tuple(int(i in pair) for i in range(n)) for pair in itertools.combinations(range(n), 2)]
         for a in cases:
             f = D.pair_coefficients(g, a).f
-            for v in (i for i, x in enumerate(a) if x):
-                assert D.closed_form_scaled(g, a, v) == delta * f[v], (g, a, v)
-                assert D.closed_form_f(g, a, v) == f[v], (g, a, v)
+            support = [i for i, x in enumerate(a) if x]
+            for v in support:
+                assert D._display_scaled(data.shape, a, support, v) == data.delta * f[v], (g, a, v)
                 reached[_display_branch(g, a, v)] += 1
     assert len(reached) == 9, reached
-
-
-def test_closed_form_rejects_uncovered_supports():
-    with pytest.raises(D.UnsupportedConfigurationError):
-        D.closed_form_scaled(chain([2, 3, 4]), (1, 2, 0), 0)
-    with pytest.raises(D.UnsupportedConfigurationError):
-        D.closed_form_scaled(star(3, ((2,), (3,), (4,))), (0, 1, 1, 1), 1)
 
 
 def test_incidence_sweep_matches_the_exact_solver():
@@ -298,20 +280,20 @@ def test_sweep_plan_cache_stays_bounded():
 
 @pytest.mark.parametrize("g", [chain([2, 3, 2, 4]), star(2, ((2,), (3,), (2, 2)))])
 def test_sweep_scaled_and_classes_match_the_direct_functions(g):
-    bound = 2 * D._graph_data(g).delta
+    delta = D._graph_data(g).delta
     rows = list(D.incidence_sweep(g, 4))
     assert len(rows) == math.comb(4 + len(g.vertices), 4) - 1
     for a, scaled, cls in rows:
-        assert scaled == D.pairing_scaled(g, a)
-        assert cls == (D.classify_incidence(g, a) if scaled <= bound else None)
+        assert scaled == D.pair_coefficients(g, a).pairing * delta
+        assert cls == (D.classify_incidence(g, a) if scaled <= 2 * delta else None)
 
 
-def _per_vector_displays(g, max_a, display=None):
+def _per_vector_displays(g, max_a):
     """(cases, mismatches) as a sweep summing over every vector counts them:
     the support vertices of one point of any multiplicity or of two points
-    of multiplicity one, each display against delta*f from the solver."""
-    display = display or D.closed_form_scaled
-    delta = D._graph_data(g).delta
+    of multiplicity one, each display against delta*f from the solver.  The
+    display is looked up on the module, so a monkeypatched one is counted."""
+    data = D._graph_data(g)
     cases = mismatches = 0
     for a in itertools.product(range(max_a + 1), repeat=len(g.vertices)):
         support = [i for i, x in enumerate(a) if x]
@@ -320,7 +302,7 @@ def _per_vector_displays(g, max_a, display=None):
         f = D.pair_coefficients(g, a).f
         for v in support:
             cases += 1
-            mismatches += display(g, a, v) != delta * f[v]
+            mismatches += D._display_scaled(data.shape, a, support, v) != data.delta * f[v]
     return cases, mismatches
 
 
@@ -352,4 +334,4 @@ def test_closed_form_check_counts_disagreeing_displays(monkeypatch):
     for g in (chain([2, 5, 3]), star(3, ((2,), (3,), (2, 4)))):
         cases, mismatches = D.closed_form_check(g, 3)
         assert mismatches == len(g.vertices) > 0
-        assert (cases, mismatches) == _per_vector_displays(g, 3, D.closed_form_scaled)
+        assert (cases, mismatches) == _per_vector_displays(g, 3)

