@@ -16,6 +16,10 @@ the subgraph determinants (continuants) of the chain or star.  The
 incidence sweep therefore checks everything as integer identities: the
 pairing as delta*<a, b> against 2*delta, and each display,
 cross-multiplied by delta, as delta*f_v = delta - (adj.a)_v - (adj.kappa)_v.
+The whole-type quantities read the same integers: per component,
+sum e_i kappa_i = kappa.adj.kappa / delta, e < 1 exactly when
+adj.kappa < delta, and the lcm of the denominators of e is
+delta / gcd(delta, adj.kappa).
 """
 
 from __future__ import annotations
@@ -112,35 +116,66 @@ def _adj_times(shape, x):
     return out
 
 
+def _adjugate(shape, n):
+    """adj(-M) as n rows by position, each entry set directly by the product
+    formula in _adj_times's docstring, O(n^2) in all; the two entries of a
+    symmetric pair are one integer."""
+    rows = [[0] * n for _ in range(n)]
+    if shape.chain:
+        pre, suf, order = shape.pre, shape.suf, shape.order
+        for i, p in enumerate(order):
+            row, left = rows[p], pre[i]
+            for j in range(i, n):
+                q = order[j]
+                row[q] = rows[q][p] = left * suf[j + 1]
+        return rows
+    c, d, outer, trunc = shape.center, shape.d, shape.outer, shape.trunc
+    branches = shape.branches
+    others = (d[1] * d[2], d[0] * d[2], d[0] * d[1])  # d of the other two branches
+    rows[c][c] = d[0] * others[0]
+    for b, br in enumerate(branches):
+        for i, p in enumerate(br):
+            row, beyond = rows[p], outer[b][i + 1]
+            row[c] = rows[c][p] = others[b] * beyond
+            for j in range(i, len(br)):
+                q = br[j]
+                row[q] = rows[q][p] = trunc[b][i] * outer[b][j + 1]
+            for o in range(b + 1, 3):
+                f = beyond * d[3 - b - o]
+                for j, q in enumerate(branches[o]):
+                    row[q] = rows[q][p] = f * outer[o][j + 1]
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class _GraphData:
-    """The per-graph record: delta = det(-M), kappa, adj.kappa = delta*e and
-    e, with the adjugate of -M built on first use."""
+    """The per-graph record: delta = det(-M), kappa and adj.kappa = delta*e,
+    all integers, with e and the adjugate of -M built on first use."""
 
     shape: _Shape
     delta: int
     kappa: tuple
     adj_kappa: tuple
-    e: tuple
+
+    @cached_property
+    def e(self):
+        """e = adj.kappa / delta as Fractions, for the callers that read the
+        discrepancies themselves; the whole-type quantities do not."""
+        return tuple(Fraction(x, self.delta) for x in self.adj_kappa)
 
     @cached_property
     def adj(self):
-        """adj(-M) as a list of rows, one O(n) product per unit vector, each
-        checked >= 0, so that adj.a >= 0 for every a >= 0; only the incidence
-        sweep needs it whole.  Row j is adj.a for the unit vector at j, made
-        in the order the sweep meets the unit vectors, so an error names the
-        first vector of the sweep that breaks the check.  The adjugate is
-        symmetric: each row shares its entries past the diagonal with the
-        rows made before it, so n^2 / 2 integers are kept, not n^2."""
+        """adj(-M) as a list of rows, each checked >= 0, so that adj.a >= 0
+        for every a >= 0; only the incidence sweep needs it whole.  Row j is
+        adj.a for the unit vector at j, and the rows are checked in the order
+        the sweep meets the unit vectors, so an error names the first vector
+        of the sweep that breaks the check."""
         n = len(self.kappa)
-        rows = [None] * n
+        rows = _adjugate(self.shape, n)
         for j in reversed(range(n)):
-            row = _adj_times(self.shape, [int(i == j) for i in range(n)])
-            if min(row) < 0:
+            if min(rows[j]) < 0:
                 a = tuple(int(i == j) for i in range(n))
-                raise InvariantError(f"negative coefficient {row}/{self.delta} for incidence {a}")
-            row[j + 1 :] = [rows[i][j] for i in range(j + 1, n)]
-            rows[j] = row
+                raise InvariantError(f"negative coefficient {rows[j]}/{self.delta} for incidence {a}")
         return rows
 
 
@@ -150,7 +185,8 @@ def _graph_data(g):
     vectors are indexed by g.vertices.
 
     delta and the shape come from `graphs`, adj.kappa from the continuants
-    of the shape in O(n), and the adjugate, when asked for, in O(n^2).
+    of the shape in O(n), and the adjugate, when asked for, in O(n^2).  No
+    Fraction is made until e is read.
     """
     data = vars(g).get("_data")
     if data is None:
@@ -160,9 +196,8 @@ def _graph_data(g):
         adj_kappa = tuple(_adj_times(shape, kappa))
         if min(adj_kappa) < 0:
             raise InvariantError(f"negative discrepancy {adj_kappa}/{delta} on {format_graph(g)}")
-        e = tuple(Fraction(x, delta) for x in adj_kappa)
         # stored the way a cached_property stores, past the frozen dataclass
-        data = vars(g)["_data"] = _GraphData(shape, delta, kappa, adj_kappa, e)
+        data = vars(g)["_data"] = _GraphData(shape, delta, kappa, adj_kappa)
     return data
 
 
@@ -438,50 +473,55 @@ def lct_min_resolution(g, a):
 
 def cartier_index(t):
     """Smallest r making rK integral at every singularity: the lcm of the
-    denominators of all e entries."""
+    denominators of all e entries, which for e = adj.kappa / delta is
+    delta / gcd(delta, adj.kappa) per component."""
     r = 1
     for g in t.components:
-        for x in discrepancies(g):
-            r = math.lcm(r, x.denominator)
+        data = _require_usable(g)
+        r = math.lcm(r, data.delta // math.gcd(data.delta, *data.adj_kappa))
     return r
 
 
 def anticanonical_selfint(t):
     """K^2 of the rank-one surface with this singularity type: (9 - n) plus
-    the discrepancy correction sum e_i (weight_i - 2)."""
+    the discrepancy correction sum e_i (weight_i - 2), which per component
+    is the integer kappa.adj.kappa over delta."""
     n = sum(len(g.vertices) for g in t.components)
     total = Fraction(9 - n)
     for g in t.components:
-        e = discrepancies(g)
-        total += sum(
-            ei * (w - 2) for ei, (_, w) in zip(e, g.vertices)
-        )
+        data = _require_usable(g)
+        total += Fraction(sum(map(operator.mul, data.kappa, data.adj_kappa)), data.delta)
     return total
 
 
 def is_klt(t):
-    return all(all(x < 1 for x in discrepancies(g)) for g in t.components)
+    """Every e < 1, that is every entry of adj.kappa below delta."""
+    return all(max(data.adj_kappa) < data.delta for data in map(_require_usable, t.components))
 
 
 def select_hunt_divisor(t):
     """(component, vertex id, e) of the extraction target: the largest
-    discrepancy coefficient among star centers and non-(-2) chain vertices."""
-    best = None
+    discrepancy coefficient among star centers and non-(-2) chain vertices,
+    the first of equal ones over the sorted components, each read in its
+    canonical vertex order.  The component returned is the canonical graph
+    and the vertex id is one of its own.
+
+    Candidates compare by their adj.kappa entries cross-multiplied by the
+    deltas, and only the winning component is made canonical."""
+    best = None  # (graph, canonical index, adj.kappa entry, delta)
     for g in t.sorted_components():
-        # the component's own record, read in the canonical vertex order
-        e = dict(zip((v for v, _ in g.vertices), discrepancies(g)))
-        e = [e[v] for v in g.canonical_order()]
-        g = g.canonical()
+        data = _require_usable(g)
+        ak = dict(zip((v for v, _ in g.vertices), data.adj_kappa))
         if g.is_chain():
-            candidates = [
-                (i, v) for i, (v, w) in enumerate(g.vertices) if w >= 3
-            ]
+            w = g.weight_map
+            candidates = [(i, ak[v]) for i, v in enumerate(g.canonical_order()) if w[v] >= 3]
         else:
-            c = g.center()
-            candidates = [(i, v) for i, (v, _) in enumerate(g.vertices) if v == c]
-        for i, v in candidates:
-            if e[i] > 0 and (best is None or e[i] > best[2]):
-                best = (g, v, e[i])
+            candidates = [(0, ak[g.center()])]  # the center comes first
+        for i, x in candidates:
+            if x > 0 and (best is None or x * best[3] > best[2] * data.delta):
+                best = (g, i, x, data.delta)
     if best is None:
         raise AllDuValError("every component is Du Val; no hunt divisor")
-    return best
+    g, i, x, delta = best
+    g = g.canonical()
+    return g, g.vertices[i][0], Fraction(x, delta)

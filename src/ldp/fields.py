@@ -102,12 +102,22 @@ class FpElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = self._lift(other) % self.p
-        if v == 0:
+        v = self._lift(other)
+        if v is NotImplemented:
+            return NotImplemented
+        if not v % self.p:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return FpElement(self.p, (self.val * pow(v, -1, self.p)) % self.p)
 
+    def __rtruediv__(self, other):
+        v = self._lift(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FpElement(self.p, v % self.p) / self
+
     def __pow__(self, n):
+        if n < 0 and not self.val:
+            raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return FpElement(self.p, pow(self.val, n, self.p))
 
     def __eq__(self, other):
@@ -232,6 +242,12 @@ class QuadElement:
             raise ZeroDivisionError("division by zero in quadratic extension")
         num = self * o.conjugate()
         return QuadElement(self.field, num.u / n, num.v / n)
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def __pow__(self, n):
         if n < 0:

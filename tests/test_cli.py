@@ -399,10 +399,9 @@ def test_lemma42_checks_everything_before_it_writes(capsys, monkeypatch):
     assert out == ""
     assert "not negative definite" in err
     # a negative adjugate entry raises before the first byte, too
-    adj_times = discrepancy._adj_times
+    adjugate = discrepancy._adjugate
     monkeypatch.setattr(
-        discrepancy, "_adj_times",
-        lambda shape, x: [-1] * len(x) if x[0] == 1 else adj_times(shape, x),
+        discrepancy, "_adjugate", lambda shape, n: [[-1] * n] + adjugate(shape, n)[1:]
     )
     with pytest.raises(graphs.InvariantError, match="negative coefficient"):
         cli.main(["lemma42", "[2,4]", "--max-a", "2"])

@@ -13,7 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldp import discrepancy as D
-from ldp.graphs import WeightedDualGraph, chain, is_negative_definite, parse_dynkin, parse_graph, star
+from ldp.graphs import (
+    MAX_VERTICES,
+    WeightedDualGraph,
+    chain,
+    format_dynkin,
+    format_graph,
+    is_negative_definite,
+    parse_dynkin,
+    parse_graph,
+    star,
+    table1_enumerate,
+)
 
 weights = st.integers(min_value=2, max_value=7)
 
@@ -155,6 +166,80 @@ def test_hunt_divisor_skips_weight_two_chain_vertices():
 def test_hunt_divisor_du_val_error():
     with pytest.raises(D.AllDuValError):
         D.select_hunt_divisor(parse_dynkin("2[2^4]"))
+
+
+def _fraction_invariants(t):
+    """K^2, index, klt and the hunt triple of a type by their per-vertex
+    Fraction definitions over the discrepancies e, the hunt divisor read on
+    each component's canonical graph."""
+    k_sq = Fraction(9 - sum(len(g.vertices) for g in t.components))
+    index, klt = 1, True
+    for g in t.components:
+        e = D.discrepancies(g)
+        k_sq += sum(ei * (w - 2) for ei, (_, w) in zip(e, g.vertices))
+        index = math.lcm(index, *(x.denominator for x in e))
+        klt = klt and all(x < 1 for x in e)
+    hunt = None
+    for g in t.sorted_components():
+        e = dict(zip((v for v, _ in g.vertices), D.discrepancies(g)))
+        e = [e[v] for v in g.canonical_order()]
+        c = g.canonical()
+        for i, (v, w) in enumerate(c.vertices):
+            candidate = w >= 3 if c.is_chain() else v == c.center()
+            if candidate and e[i] > 0 and (hunt is None or e[i] > hunt[2]):
+                hunt = (c, v, e[i])
+    return k_sq, index, klt, hunt
+
+
+def _integer_invariants(t):
+    try:
+        hunt = D.select_hunt_divisor(t)
+    except D.AllDuValError:
+        hunt = None
+    return D.anticanonical_selfint(t), D.cartier_index(t), D.is_klt(t), hunt
+
+
+def _assert_same_invariants(t):
+    def exact(k_sq, index, klt, hunt):
+        # the hunt component by its vertex ids and edges, not by canonical key
+        return k_sq, index, klt, hunt and (hunt[0].vertices, hunt[0].edges, *hunt[1:])
+
+    assert exact(*_integer_invariants(t)) == exact(*_fraction_invariants(t)), format_dynkin(t)
+
+
+def test_whole_type_invariants_match_the_fraction_definitions_on_table_1():
+    types = [t for _, t in table1_enumerate(n_range=(0, 30), m_range=(1, 30))]
+    assert len(types) == 530
+    for t in types:
+        _assert_same_invariants(t)
+
+
+def test_whole_type_invariants_match_the_fraction_definitions_at_max_vertices():
+    third = MAX_VERTICES // 3
+    for notation in (
+        f"[3^{MAX_VERTICES}]",
+        f"[2^{MAX_VERTICES - 1},5]",
+        f"[5;[2^{third}],[3^{third}],[2^{MAX_VERTICES - 1 - 2 * third}]]",
+        f"[4^{third}]+[3;[2^{third - 1}],[2],[4^{MAX_VERTICES - 2 * third - 2}]]",
+    ):
+        t = parse_dynkin(notation)
+        assert sum(len(g.vertices) for g in t.components) <= MAX_VERTICES
+        _assert_same_invariants(t)
+    # beyond E8, indefinite: both refuse it
+    t = parse_dynkin(f"[2;[2],[2,2],[2^{MAX_VERTICES - 4}]]")
+    for invariants in (_integer_invariants, _fraction_invariants):
+        with pytest.raises(D.NotNegativeDefiniteError):
+            invariants(t)
+
+
+def test_hunt_divisor_keeps_the_first_of_tied_coefficients():
+    # every component and both vertices of [4^2] reach 2/3
+    t = parse_dynkin("[2;[2],[3],[2^2]]+[4^2]+[2,5]")
+    _assert_same_invariants(t)
+    comp, vertex, e0 = D.select_hunt_divisor(t)
+    assert (format_graph(comp), vertex, e0) == ("[2,5]", "v1", Fraction(2, 3))
+    comp, vertex, e0 = D.select_hunt_divisor(parse_dynkin("[4^2]+[2;[2],[3],[2^2]]"))
+    assert (format_graph(comp), vertex, e0) == ("[4^2]", "v0", Fraction(2, 3))
 
 
 def test_not_negative_definite_rejected():

@@ -76,6 +76,28 @@ def test_field_elements_equal_only_their_own_field_and_hash_alike():
     assert K.generator * K.generator == -11 * K.generator + 1
 
 
+def test_field_division_is_total_over_the_operands_the_other_operators_lift():
+    F5 = PrimeField(5)
+    K = QuadraticExtension(QQ, 11, -1)
+    L = QuadraticExtension(F5, 0, -2)  # 𝔽₅(√2)
+    # the reflected quotient lifts an int or a base element as - does
+    assert 3 / F5.coerce(2) == F5.coerce(3) / 2 == F5.coerce(4)
+    assert 1 / L.generator == L.one / L.generator == L.generator / 2
+    assert F5.one / L.generator == 1 / L.generator and F5.one - L.generator == 1 - L.generator
+    assert 1 / K.generator == K.one / K.generator == K.generator + 11
+    # an operand no operator lifts is refused by / as by +
+    half = Fraction(1, 2)
+    with pytest.raises(TypeError, match=r"for \+: 'FpElement' and 'Fraction'"):
+        F5.one + half
+    with pytest.raises(TypeError, match="for /: 'FpElement' and 'Fraction'"):
+        F5.one / half
+    # zero has no inverse, by / or by a negative power
+    for zero, one in ((F5.zero, F5.one), (L.zero, L.one)):
+        for quotient in (lambda: zero**-1, lambda: 1 / zero, lambda: one / zero):
+            with pytest.raises(ZeroDivisionError):
+                quotient()
+
+
 def _to_sympy(p, symbols):
     out = 0
     for exp, c in p.terms:

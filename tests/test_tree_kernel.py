@@ -123,6 +123,21 @@ def test_product_formula_adjugate_matches_dense_linear_algebra(g, data):
     assert list(D.pair_coefficients(g, a).d) == linalg.solve(m, [-x for x in a])
 
 
+def test_adjugate_entries_match_the_unit_vector_products():
+    # every chain and star of at most 6 vertices with weights 2..5, up to
+    # isomorphism: the graphs group 5 sweeps, with their vertex lists
+    # reversed, so that positions run against the walk
+    count = 0
+    for g in verify._sweep_graphs():
+        g = WeightedDualGraph(g.vertices[::-1], g.edges)
+        data = D._graph_data(g)
+        n = len(g.vertices)
+        units = [[int(i == j) for i in range(n)] for j in range(n)]
+        assert data.adj == [D._adj_times(data.shape, x) for x in units]
+        count += 1
+    assert count == 8270
+
+
 def test_report_and_det_leave_the_adjugate_unbuilt(capsys, watch):
     reports = ("2[2^4]+[2;[2],[3],[5]]", "[3;[2^40],[2^40],[2^40]]+[2,5,3]")
     for notation in reports:
@@ -203,11 +218,9 @@ def test_group_5_counts_each_unit_increment_once_and_none_shrinks_the_pairing(mo
 
 
 def test_group_5_raises_on_a_negative_adjugate_entry_and_counts_nothing(monkeypatch):
-    adj_times = D._adj_times
+    adjugate = D._adjugate
     # a negative first adjugate row, while adj.kappa stays right
-    monkeypatch.setattr(
-        D, "_adj_times", lambda shape, x: [-1] * len(x) if x[0] == 1 else adj_times(shape, x)
-    )
+    monkeypatch.setattr(D, "_adjugate", lambda shape, n: [[-1] * n] + adjugate(shape, n)[1:])
     monkeypatch.setattr(verify, "_sweep_graphs", lambda: iter([parse_graph("[2,4]")]))
     message = r"negative coefficient \[-1, -1\]/7 for incidence \(1, 0\)"
     with pytest.raises(InvariantError, match=message):
@@ -221,15 +234,16 @@ import json, sys
 from ldp import discrepancy as D
 from ldp.graphs import InvariantError, parse_graph
 
-adj_times = D._adj_times
-# negative coefficients for the incidence (1, 0), and so a negative first
-# adjugate row, while adj.kappa stays right
+adj_times, adjugate = D._adj_times, D._adjugate
+# negative coefficients for the incidence (1, 0), while adj.kappa stays right
 negative_d = lambda shape, x: [-1] * len(x) if x[0] == 1 else adj_times(shape, x)
+# a negative first row of the adjugate the sweep reads
+negative_row = lambda shape, n: [[-1] * n] + adjugate(shape, n)[1:]
 cases = {
     "e nonnegative": (D, "_adj_times", lambda shape, x: [-1] * len(x),
                       lambda g: D.discrepancies(g)),
     "d nonnegative": (D, "_adj_times", negative_d, lambda g: D.pair_coefficients(g, (1, 0))),
-    "sweep d nonnegative": (D, "_adj_times", negative_d, lambda g: list(D.incidence_sweep(g, 1))),
+    "sweep d nonnegative": (D, "_adjugate", negative_row, lambda g: list(D.incidence_sweep(g, 1))),
 }
 fired = {}
 for name, (module, attr, fake, call) in cases.items():

@@ -36,9 +36,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# workloads whose per-layer numbers are recorded: the dual-graph kernel, and
-# the verify-paper groups, where the polynomial layer runs
-TRACED = ("large_graphs", "paper_checks")
+# workloads whose per-layer numbers are recorded: the dual-graph kernel on
+# new graphs, the verify-paper groups, where the polynomial layer runs, and
+# the Table 1 reports, where the whole-type quantities run
+TRACED = ("large_graphs", "paper_checks", "table1_scan")
 
 
 def run(root, workload, seed, seconds, trace):
