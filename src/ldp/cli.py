@@ -121,16 +121,20 @@ def cmd_det(args):
     _emit({"notation": graphs.format_dynkin(t), "components": comps, "determinant": total})
 
 
+def _ratio(p, q):
+    """str(Fraction(p, q)) for q > 0, without making the Fraction."""
+    k = math.gcd(p, q)
+    return str(p // k) if k == q else f"{p // k}/{q // k}"
+
+
 def cmd_report(args):
     t = graphs.parse_dynkin(args.notation)
     rep = feasibility.feasibility_report(t)
     data = feasibility.report_to_json(rep)
     data["discrepancies"] = [
-        {
-            "component": graphs.format_graph(g),
-            "e": [str(x) for x in discrepancy.discrepancies(g)],
-        }
+        {"component": graphs.format_graph(g), "e": [_ratio(x, delta) for x in scaled]}
         for g in t.sorted_components()
+        for delta, scaled in [discrepancy.scaled_discrepancies(g)]
     ]
     try:
         comp, vertex, e0 = discrepancy.select_hunt_divisor(t)
@@ -227,11 +231,9 @@ def cmd_lemma42(args):
     )
     lead = "\n  {"
     for a, scaled, cls in discrepancy.incidence_sweep(g, args.max_a):
-        k = math.gcd(scaled, delta)
-        p, q = scaled // k, delta // k
         row = (
             lead + '\n   "incidence": [\n    ' + ",\n    ".join(map(str, a))
-            + '\n   ],\n   "pairing": "' + (f"{p}/{q}" if q != 1 else str(p)) + '"'
+            + '\n   ],\n   "pairing": "' + _ratio(scaled, delta) + '"'
         )
         if cls is not None:
             if cls.case is not None:

@@ -66,6 +66,10 @@ class UnsupportedConfigurationError(ValueError):
 
 def _require_usable(g):
     """The _GraphData of a nonempty negative definite graph."""
+    data = vars(g).get("_data")
+    if data is not None:
+        # a record is kept only on a graph that passed the checks below
+        return data
     if g.is_empty():
         raise ValueError("graph must be nonempty")
     # the graph keeps its determinant, so this is O(1) after the first call
@@ -221,6 +225,13 @@ def discrepancies(g):
     [2;[2],[4],[4]], are log canonical but not klt and reach e = 1).
     """
     return _require_usable(g).e
+
+
+def scaled_discrepancies(g):
+    """(delta, adj.kappa): delta = det(-M) and the integers delta*e, ordered
+    like g.vertices, for the callers that write e without Fractions."""
+    data = _require_usable(g)
+    return data.delta, data.adj_kappa
 
 
 @dataclass(frozen=True)

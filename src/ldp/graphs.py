@@ -48,15 +48,14 @@ class WeightedDualGraph:
         ids = [v for v, _ in self.vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
-        for _, w in self.vertices:
-            if w < 2:
-                raise ValueError(f"vertex weight {w} < 2")
+        _check_weights(self.vertices)
         idset = set(ids)
         for e in self.edges:
             if len(e) != 2 or not e <= idset:
                 raise ValueError(f"bad edge {set(e)}")
         # the graph is immutable, so the walk that checks its shape is kept:
-        # the chain order or the star branches are computed once
+        # the chain order or the star branches are computed once.  chain()
+        # and star() know their walk already and skip this (see _known)
         object.__setattr__(self, "_walk", self._check_shape())
 
     def _check_shape(self):
@@ -208,27 +207,51 @@ def _path(adj, first, prev):
         path.append(nxt[0])
 
 
+def _check_weights(vertices):
+    for _, w in vertices:
+        if w < 2:
+            raise ValueError(f"vertex weight {w} < 2")
+
+
+def _known(vertices, edges, walk):
+    """The graph on these vertices and edges with the walk (center, paths)
+    that _check_shape would find, which the caller built along with them:
+    only the weights are checked, and no adjacency is walked."""
+    _check_weights(vertices)
+    g = object.__new__(WeightedDualGraph)
+    object.__setattr__(g, "vertices", vertices)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "_walk", walk)
+    return g
+
+
 def chain(weights):
-    verts = tuple((f"v{i}", w) for i, w in enumerate(weights))
-    edges = frozenset(frozenset((f"v{i}", f"v{i+1}")) for i in range(len(weights) - 1))
-    return WeightedDualGraph(verts, edges)
+    """The chain with these weights end to end, vertex ids v0, v1, ...; its
+    walk is the ids in that order."""
+    ids = tuple(f"v{i}" for i in range(len(weights)))
+    verts = tuple(zip(ids, weights))
+    edges = frozenset(map(frozenset, zip(ids, ids[1:])))
+    return _known(verts, edges, (None, (ids,) if ids else ()))
 
 
 def star(center_weight, branch_weights):
+    """The star with this center weight and these three branches, each from
+    the center outward, vertex ids v0 (the center), v1, ... branch by
+    branch; its walk is the center and the branches as given."""
     if len(branch_weights) != 3 or any(not b for b in branch_weights):
         raise ValueError("a star needs exactly three nonempty branches")
     verts = [("v0", center_weight)]
     edges = []
-    idx = 1
+    paths = []
     for branch in branch_weights:
-        prev = "v0"
+        path = []
         for w in branch:
-            vid = f"v{idx}"
-            idx += 1
+            vid = f"v{len(verts)}"
+            edges.append(frozenset((path[-1] if path else "v0", vid)))
             verts.append((vid, w))
-            edges.append(frozenset((prev, vid)))
-            prev = vid
-    return WeightedDualGraph(tuple(verts), frozenset(edges))
+            path.append(vid)
+        paths.append(tuple(path))
+    return _known(tuple(verts), frozenset(edges), ("v0", tuple(paths)))
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,54 @@ def test_report_on_a_large_star_solves_m_e_equals_minus_kappa(capsys):
     assert [Fraction(x) for x in comp["e"]] == expected
 
 
+def test_report_writes_e_as_the_fractions_would(capsys):
+    types = [graphs.format_dynkin(t)
+             for _, t in graphs.table1_enumerate(n_range=(0, 30), m_range=(1, 30))]
+    assert len(types) == 530
+    third = graphs.MAX_VERTICES // 3
+    long = [f"[2^{graphs.MAX_VERTICES - 1},5]", f"[3^{third}]",
+            f"[5;[2^{third}],[3^{third}],[2,4^{third - 2}]]"]
+    seen = set()
+    for notation in ["[2^4]", "[2;[2],[4],[4]]"] + types + long:
+        data = run_json(capsys, "report", notation)
+        comps = graphs.parse_dynkin(notation).sorted_components()
+        assert len(data["discrepancies"]) == len(comps)
+        for entry, g in zip(data["discrepancies"], comps):
+            assert entry["component"] == graphs.format_graph(g)
+            assert entry["e"] == [str(x) for x in discrepancy.discrepancies(g)]
+            seen.update(entry["e"])
+    # integral entries too: the Du Val [2^4] gives 0, [2;[2],[4],[4]] reaches 1
+    assert {"0", "1"} <= seen
+    assert run_json(capsys, "report", "[2^4]")["discrepancies"][0]["e"] == ["0"] * 4
+    assert "1" in run_json(capsys, "report", "[2;[2],[4],[4]]")["discrepancies"][0]["e"]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # a star's branches are walked in the order its constructor gives them,
+    # and a raw graph's in the order of its edge set, which string hashing
+    # decides; no output may depend on either
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from ldp.cli import main\n"
+        "for notation in sys.argv[1:]:\n"
+        "    for argv in (['report', notation], ['hunt', notation],\n"
+        "                 ['lemma42', notation, '--max-a', '2']):\n"
+        "        print(main(argv))\n"
+    )
+    stars = ["[2;[2],[3],[5]]", "[3;[2,3],[4],[2,3]]", "[2;[2],[2],[2]]",
+             "[4;[3],[2^2],[3]]", "[2;[2],[3],[2,3]]"]
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, *stars],
+                              env=env, capture_output=True, timeout=120)
+        outputs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
 def test_pencil_char_five(capsys):
     data = run_json(capsys, "pencil", "--char", "5")
     assert data["quadratic_factor_has_double_root"] is True

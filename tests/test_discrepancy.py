@@ -19,6 +19,7 @@ from ldp.graphs import (
     chain,
     format_dynkin,
     format_graph,
+    graph_determinant,
     is_negative_definite,
     parse_dynkin,
     parse_graph,
@@ -230,6 +231,19 @@ def test_whole_type_invariants_match_the_fraction_definitions_at_max_vertices():
     for invariants in (_integer_invariants, _fraction_invariants):
         with pytest.raises(D.NotNegativeDefiniteError):
             invariants(t)
+
+
+def test_k_squared_times_the_determinants_is_a_square_on_table_1():
+    # Pic(Y) of the minimal resolution is unimodular, so the orthogonal
+    # complement of the exceptional curves is spanned by one L with
+    # L^2 = prod det(-M_i); the pullback of K_X is a rational multiple of L
+    # and K_Y.L is an integer, so K_X^2 prod det(-M_i) = (K_Y.L)^2
+    types = [t for _, t in table1_enumerate(n_range=(0, 30), m_range=(1, 30))]
+    assert len(types) == 530
+    for t in types:
+        x = D.anticanonical_selfint(t) * math.prod(map(graph_determinant, t.components))
+        assert x.denominator == 1 and x > 0, format_dynkin(t)
+        assert math.isqrt(x.numerator) ** 2 == x.numerator, format_dynkin(t)
 
 
 def test_hunt_divisor_keeps_the_first_of_tied_coefficients():

@@ -3,9 +3,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldp import graphs
+from ldp import graphs, verify
 from ldp.graphs import (
+    MAX_VERTICES,
     DynkinSyntaxError,
+    WeightedDualGraph,
     chain,
     dynkin_matrix,
     format_dynkin,
@@ -17,6 +19,7 @@ from ldp.graphs import (
     parse_dynkin,
     parse_graph,
     star,
+    table1_enumerate,
 )
 
 weights = st.integers(min_value=2, max_value=9)
@@ -189,3 +192,62 @@ def test_graph_to_json_lists_self_intersections_and_sorted_edges():
         ],
         "edges": [["v0", "v1"], ["v0", "v2"], ["v0", "v3"], ["v3", "v4"]],
     }
+
+
+def _walked_graphs():
+    """Graphs built by chain() and star(): group 5's sweep, every component
+    of the Table 1 types with n, m <= 30 with its canonical graph, and a
+    chain and a star near MAX_VERTICES."""
+    yield from verify._sweep_graphs()
+    for _, t in table1_enumerate(n_range=(0, 30), m_range=(1, 30)):
+        for g in t.components:
+            yield g
+            yield g.canonical()
+    third = MAX_VERTICES // 3
+    yield chain([2] * (MAX_VERTICES - 1) + [5])
+    yield star(5, [[2] * third, [3] * third, [2] * (MAX_VERTICES - 1 - 2 * third)])
+
+
+def test_constructors_hand_over_the_walk_the_shape_check_finds():
+    count = 0
+    for g in _walked_graphs():
+        center, paths = g._walk
+        found_center, found_paths = g._check_shape()
+        assert center == found_center
+        assert len(paths) == len(found_paths) and set(paths) == set(found_paths)
+        # the same vertices and edges through the full check
+        raw = WeightedDualGraph(g.vertices, g.edges)
+        assert raw._key == g._key
+        assert graph_determinant(raw) == graph_determinant(g)
+        assert format_graph(raw) == format_graph(g)
+        count += 1
+    assert count >= 8270 + 2 * 530
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: chain([2, 1]),
+        lambda: chain([1]),
+        lambda: star(1, [[2], [2], [2]]),
+        lambda: star(2, [[2], [2, 0], [2]]),
+    ],
+)
+def test_constructors_keep_the_weight_check(make):
+    with pytest.raises(ValueError, match="< 2"):
+        make()
+
+
+def test_a_raw_graph_keeps_the_full_check():
+    v = (("a", 2), ("b", 2), ("c", 2))
+    ab, bc, ca = frozenset("ab"), frozenset("bc"), frozenset("ca")
+    for vertices, edges, fragment in [
+        ((("a", 2), ("a", 3)), frozenset(), "duplicate"),
+        (v, frozenset({ab, frozenset("ax")}), "bad edge"),
+        (v, frozenset({ab, bc, ca}), "tree"),
+        ((*v, ("d", 2)), frozenset({ab, bc, ca}), "connected"),
+        (v + (("d", 2), ("e", 2)), frozenset(map(frozenset, ["ab", "ac", "ad", "ae"])),
+         "three branches"),
+    ]:
+        with pytest.raises(ValueError, match=fragment):
+            WeightedDualGraph(vertices, edges)
