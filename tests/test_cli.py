@@ -219,17 +219,14 @@ def test_report_writes_e_as_the_fractions_would(capsys):
     third = graphs.MAX_VERTICES // 3
     long = [f"[2^{graphs.MAX_VERTICES - 1},5]", f"[3^{third}]",
             f"[5;[2^{third}],[3^{third}],[2,4^{third - 2}]]"]
-    seen = set()
-    for notation in ["[2^4]", "[2;[2],[4],[4]]"] + types + long:
+    for notation in types + long:
         data = run_json(capsys, "report", notation)
         comps = graphs.parse_dynkin(notation).sorted_components()
         assert len(data["discrepancies"]) == len(comps)
         for entry, g in zip(data["discrepancies"], comps):
             assert entry["component"] == graphs.format_graph(g)
             assert entry["e"] == [str(x) for x in discrepancy.discrepancies(g)]
-            seen.update(entry["e"])
     # integral entries too: the Du Val [2^4] gives 0, [2;[2],[4],[4]] reaches 1
-    assert {"0", "1"} <= seen
     assert run_json(capsys, "report", "[2^4]")["discrepancies"][0]["e"] == ["0"] * 4
     assert "1" in run_json(capsys, "report", "[2;[2],[4],[4]]")["discrepancies"][0]["e"]
 
