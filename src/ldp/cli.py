@@ -205,7 +205,7 @@ def cmd_lemma42(args):
     if len(comps) != 1:
         raise DynkinSyntaxError("the incidence sweep expects a single connected graph", 0)
     g = comps[0]
-    n = len(g.vertices)
+    n = len(g.weights)
     count = _sweep_size(n, args.max_a)
     if count is None or count > MAX_SWEEP_VECTORS:
         shown = "more than 10^18" if count is None else count

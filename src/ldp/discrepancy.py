@@ -65,53 +65,64 @@ class UnsupportedConfigurationError(ValueError):
 
 
 def _require_usable(g):
-    """The _GraphData of a nonempty negative definite graph."""
+    """The _GraphData of a nonempty negative definite graph, built on first
+    use and kept on the graph object itself, so a kept record is one that
+    passed the checks below.
+
+    delta and the shape come from `graphs`, adj.kappa from the continuants
+    of the shape in O(n), and the adjugate, when asked for, in O(n^2).  No
+    Fraction is made until e is read.
+    """
     data = vars(g).get("_data")
-    if data is not None:
-        # a record is kept only on a graph that passed the checks below
-        return data
-    if g.is_empty():
-        raise ValueError("graph must be nonempty")
-    # the graph keeps its determinant, so this is O(1) after the first call
-    if not is_negative_definite(g):
-        raise NotNegativeDefiniteError(f"{format_graph(g)} is not negative definite")
-    return _graph_data(g)
+    if data is None:
+        if g.is_empty():
+            raise ValueError("graph must be nonempty")
+        if not is_negative_definite(g):
+            raise NotNegativeDefiniteError(f"{format_graph(g)} is not negative definite")
+        delta = graph_determinant(g)
+        shape = g._shape
+        kappa = tuple(w - 2 for w in g.weights)
+        adj_kappa = tuple(_adj_times(shape, kappa))
+        if min(adj_kappa) < 0:
+            raise InvariantError(f"negative discrepancy {adj_kappa}/{delta} on {format_graph(g)}")
+        # stored the way a cached_property stores, past the frozen dataclass
+        data = vars(g)["_data"] = _GraphData(shape, delta, kappa, adj_kappa)
+    return data
 
 
 def _adj_times(shape, x):
-    """adj(-M).x for an integer vector x by position, in O(n) integers.
+    """adj(-M).x for an integer vector x by walk position, in O(n) integers.
 
     On a tree, the (u, v) entry of the adjugate of -M is the determinant of
     -M on the forest left when the u-v path is deleted (every path edge
     carries -1 in -M, so no sign appears; Eisenbud-Neumann 1985).  On a
-    chain that is pre[i] * suf[j + 1] for order indices i <= j.  On a star
-    it is d of the other two branches times outer[b][k + 1] between the
-    center and (b, k); trunc[b][i] * outer[b][j + 1] between (b, i) and
+    chain that is pre[i] * suf[j + 1] for positions i <= j.  On a star it
+    is d of the other two branches times outer[b][k + 1] between the center
+    and (b, k); trunc[b][i] * outer[b][j + 1] between (b, i) and
     (b, j) with i <= j; and outer[b][i + 1] * outer[b'][j + 1] * d[b'']
     between (b, i) and (b', j) on different branches.  The sums over v run
     as prefix and suffix sums along each path.
     """
     out = [0] * len(x)
     if shape.chain:
-        pre, suf, order = shape.pre, shape.suf, shape.order
+        pre, suf = shape.pre, shape.suf
         # low[i] = sum over j <= i of pre[j] x_j
-        low = list(itertools.accumulate(pre[i] * x[p] for i, p in enumerate(order)))
+        low = list(itertools.accumulate(map(operator.mul, pre, x)))
         high = 0  # sum over j > i of suf[j + 1] x_j
-        for i in reversed(range(len(order))):
-            p = order[i]
-            out[p] = suf[i + 1] * low[i] + pre[i] * high
-            high += suf[i + 1] * x[p]
+        for i in reversed(range(len(x))):
+            out[i] = suf[i + 1] * low[i] + pre[i] * high
+            high += suf[i + 1] * x[i]
         return out
-    c, d, outer, trunc = shape.center, shape.d, shape.outer, shape.trunc
+    d, outer, trunc = shape.d, shape.outer, shape.trunc
     others = (d[1] * d[2], d[0] * d[2], d[0] * d[1])  # d of the other two branches
     tails = [sum(x[p] * outer[b][k + 1] for k, p in enumerate(br))
              for b, br in enumerate(shape.branches)]
-    out[c] = d[0] * others[0] * x[c] + sum(map(operator.mul, others, tails))
+    out[0] = d[0] * others[0] * x[0] + sum(map(operator.mul, others, tails))
     for b, br in enumerate(shape.branches):
         # near: the terms of the center, of the other two branches and of
         # branch b before (b, i), each a multiple of outer[b][i + 1]; far:
         # those of (b, i) and beyond it, each a multiple of trunc[b][i]
-        near = others[b] * x[c] + sum(d[3 - b - o] * tails[o] for o in range(3) if o != b)
+        near = others[b] * x[0] + sum(d[3 - b - o] * tails[o] for o in range(3) if o != b)
         far = tails[b]
         for i, p in enumerate(br):
             out[p] = outer[b][i + 1] * near + trunc[b][i] * far
@@ -121,26 +132,25 @@ def _adj_times(shape, x):
 
 
 def _adjugate(shape, n):
-    """adj(-M) as n rows by position, each entry set directly by the product
+    """adj(-M) as n rows by walk position, each entry set directly by the product
     formula in _adj_times's docstring, O(n^2) in all; the two entries of a
     symmetric pair are one integer."""
     rows = [[0] * n for _ in range(n)]
     if shape.chain:
-        pre, suf, order = shape.pre, shape.suf, shape.order
-        for i, p in enumerate(order):
-            row, left = rows[p], pre[i]
+        pre, suf = shape.pre, shape.suf
+        for i in range(n):
+            row, left = rows[i], pre[i]
             for j in range(i, n):
-                q = order[j]
-                row[q] = rows[q][p] = left * suf[j + 1]
+                row[j] = rows[j][i] = left * suf[j + 1]
         return rows
-    c, d, outer, trunc = shape.center, shape.d, shape.outer, shape.trunc
+    d, outer, trunc = shape.d, shape.outer, shape.trunc
     branches = shape.branches
     others = (d[1] * d[2], d[0] * d[2], d[0] * d[1])  # d of the other two branches
-    rows[c][c] = d[0] * others[0]
+    rows[0][0] = d[0] * others[0]
     for b, br in enumerate(branches):
         for i, p in enumerate(br):
             row, beyond = rows[p], outer[b][i + 1]
-            row[c] = rows[c][p] = others[b] * beyond
+            row[0] = rows[0][p] = others[b] * beyond
             for j in range(i, len(br)):
                 q = br[j]
                 row[q] = rows[q][p] = trunc[b][i] * outer[b][j + 1]
@@ -183,34 +193,12 @@ class _GraphData:
         return rows
 
 
-def _graph_data(g):
-    """The _GraphData of a negative definite graph, built on first use and
-    kept on the graph object itself, never shared by canonical form: its
-    vectors are indexed by g.vertices.
-
-    delta and the shape come from `graphs`, adj.kappa from the continuants
-    of the shape in O(n), and the adjugate, when asked for, in O(n^2).  No
-    Fraction is made until e is read.
-    """
-    data = vars(g).get("_data")
-    if data is None:
-        delta = graph_determinant(g)
-        shape = g._shape
-        kappa = tuple(w - 2 for _, w in g.vertices)
-        adj_kappa = tuple(_adj_times(shape, kappa))
-        if min(adj_kappa) < 0:
-            raise InvariantError(f"negative discrepancy {adj_kappa}/{delta} on {format_graph(g)}")
-        # stored the way a cached_property stores, past the frozen dataclass
-        data = vars(g)["_data"] = _GraphData(shape, delta, kappa, adj_kappa)
-    return data
-
-
 def _check_incidence(g, a):
     """a as a tuple of ints, one per vertex of g, none negative."""
     a = tuple(int(x) for x in a)
-    if len(a) != len(g.vertices):
+    if len(a) != len(g.weights):
         raise IndexMismatchError(
-            f"incidence vector has {len(a)} entries for {len(g.vertices)} vertices"
+            f"incidence vector has {len(a)} entries for {len(g.weights)} vertices"
         )
     if any(x < 0 for x in a):
         raise IndexMismatchError("incidence entries must be >= 0")
@@ -283,10 +271,10 @@ def _support_case(shape, support):
     if shape.chain:
         return {1: "1a", 2: "1b"}.get(len(support), "1c")
     if len(support) == 1:
-        return "2a" if support[0] == shape.center else "2b"
+        return "2a" if support[0] == 0 else "2b"  # the center is position 0
     if len(support) == 2:
         i, j = support
-        if shape.center in support:
+        if 0 in support:
             return "2e"
         return "2d" if shape.at[i][0] == shape.at[j][0] else "2c"
     return "2f"
@@ -309,7 +297,7 @@ def _classify(data, a, support, scaled):
         shape.chain
         and len(support) == 2
         and all(a[i] == 1 for i in support)
-        and set(support) == {shape.order[0], shape.order[-1]}
+        and set(support) == {0, len(a) - 1}
     ):
         return IncidenceClassification((ALMOST_LC_C,), case, pairing)
     raise UnsupportedConfigurationError(
@@ -337,28 +325,27 @@ def _display_scaled(shape, a, support, vertex):
     other = sum(support) - vertex  # the other support vertex, if there is one
     if shape.chain:
         # the meeting points split the chain; g1 and g3 are the outer parts
-        k = shape.at[vertex]
+        k, j = vertex, other
         pre, suf = shape.pre, shape.suf
         if len(support) == 1:
             g1, g2 = pre[k], suf[k + 1]
             return g1 + g2 - a[vertex] * g1 * g2
-        j = shape.at[other]
         if k < j:
             g1, g3, g23 = pre[k], suf[j + 1], suf[k + 1]
         else:
             g1, g3, g23 = suf[k + 1], pre[j], pre[k]
         return g23 * (1 - g1) + g1 * (1 - g3)
 
-    c, d, outer, trunc = shape.center, shape.d, shape.outer, shape.trunc
-    if len(support) == 1 and vertex == c:
+    d, outer, trunc = shape.d, shape.outer, shape.trunc
+    if len(support) == 1 and vertex == 0:  # the center
         d1, d2, d3 = d
-        return d2 * d3 + d1 * d3 + d1 * d2 - (1 + a[c]) * d1 * d2 * d3
-    if c in support:
-        bi, k = shape.at[sum(support) - c]
+        return d2 * d3 + d1 * d3 + d1 * d2 - (1 + a[0]) * d1 * d2 * d3
+    if 0 in support:
+        bi, k = shape.at[sum(support)]
         d1 = d[bi]
         d2, d3 = d[bi - 2], d[bi - 1]  # the other two branches
         g11 = outer[bi][k + 1]
-        if vertex == c:
+        if vertex == 0:
             return d2 * d3 + d1 * d3 + d1 * d2 - 2 * d1 * d2 * d3 - g11 * d2 * d3
         x = (d2 - 1) * (d3 - 1)
         gp = trunc[bi][k]
@@ -497,7 +484,7 @@ def anticanonical_selfint(t):
     """K^2 of the rank-one surface with this singularity type: (9 - n) plus
     the discrepancy correction sum e_i (weight_i - 2), which per component
     is the integer kappa.adj.kappa over delta."""
-    n = sum(len(g.vertices) for g in t.components)
+    n = sum(len(g.weights) for g in t.components)
     total = Fraction(9 - n)
     for g in t.components:
         data = _require_usable(g)
@@ -522,12 +509,11 @@ def select_hunt_divisor(t):
     best = None  # (graph, canonical index, adj.kappa entry, delta)
     for g in t.sorted_components():
         data = _require_usable(g)
-        ak = dict(zip((v for v, _ in g.vertices), data.adj_kappa))
+        ak, w = data.adj_kappa, g.weights
         if g.is_chain():
-            w = g.weight_map
-            candidates = [(i, ak[v]) for i, v in enumerate(g.canonical_order()) if w[v] >= 3]
+            candidates = [(i, ak[p]) for i, p in enumerate(g.canonical_order()) if w[p] >= 3]
         else:
-            candidates = [(0, ak[g.center()])]  # the center comes first
+            candidates = [(0, ak[0])]  # the center comes first
         for i, x in candidates:
             if x > 0 and (best is None or x * best[3] > best[2] * data.delta):
                 best = (g, i, x, data.delta)

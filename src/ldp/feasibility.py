@@ -93,7 +93,7 @@ class FeasibilityReport:
 
 
 def feasibility_report(t):
-    n = sum(len(g.vertices) for g in t.components)
+    n = sum(len(g.weights) for g in t.components)
     k_sq = discrepancy.anticanonical_selfint(t)
     klt = discrepancy.is_klt(t)
     index = discrepancy.cartier_index(t)

@@ -34,80 +34,61 @@ class InvariantError(ArithmeticError):
 
 @dataclass(frozen=True)
 class WeightedDualGraph:
-    """Immutable weighted graph, shaped as a chain or a three-branch star.
+    """Immutable weighted graph, shaped as a chain or a three-branch star,
+    stored as its walk.
 
-    vertices: tuple of (id, weight), weight >= 2 meaning self-intersection
-    -weight; edges: frozenset of frozensets {id, id}.  The empty graph is
-    allowed (a smooth point).
+    weights: the weights in walk order, each >= 2 meaning self-intersection
+    -weight: a chain's end to end, a star's center and then each branch from
+    the center outward; branches: a star's three branch lengths, None for a
+    chain.  Vertex i, at position i of the walk, has id f"v{i}".  The empty
+    chain is allowed (a smooth point).  Build graphs with chain() and star().
     """
 
-    vertices: tuple
-    edges: frozenset
+    weights: tuple
+    branches: tuple = None
 
     def __post_init__(self):
-        ids = [v for v, _ in self.vertices]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate vertex ids")
-        _check_weights(self.vertices)
-        idset = set(ids)
-        for e in self.edges:
-            if len(e) != 2 or not e <= idset:
-                raise ValueError(f"bad edge {set(e)}")
-        # the graph is immutable, so the walk that checks its shape is kept:
-        # the chain order or the star branches are computed once.  chain()
-        # and star() know their walk already and skip this (see _known)
-        object.__setattr__(self, "_walk", self._check_shape())
+        for w in self.weights:
+            if w < 2:
+                raise ValueError(f"vertex weight {w} < 2")
 
-    def _check_shape(self):
-        """(center, paths) of a chain or a three-branch star; raises on any
-        other graph.  A chain has center None and its vertex ids end to end
-        from the smaller end id as its one path (no path when empty); a star
-        has its center id and its three branches from the center outward."""
-        n = len(self.vertices)
-        if n == 0:
-            if self.edges:
-                raise ValueError("edges without vertices")
-            return None, ()
-        if len(self.edges) != n - 1:
-            raise ValueError("graph must be a connected tree (chain or 3-star)")
-        # connectivity: tree with n-1 edges is connected iff no isolated part;
-        # walk it to be safe
-        seen = set()
-        stack = [self.vertices[0][0]]
-        adj = _adjacency(self)
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v])
-        if len(seen) != n:
-            raise ValueError("graph is not connected")
-        branch = [v for v, vs in adj.items() if len(vs) >= 3]
-        if len(branch) > 1 or (branch and len(adj[branch[0]]) != 3):
-            raise ValueError("graph must be a chain or a star with three branches")
-        if branch:
-            c = branch[0]
-            return c, tuple(_path(adj, first, c) for first in adj[c])
-        return None, (_path(adj, min(v for v, vs in adj.items() if len(vs) <= 1), None),)
-
-    # -- structure helpers ------------------------------------------------
+    # -- derived data -------------------------------------------------------
     #
-    # The walk (_walk), the canonical key (_key), the subgraph determinants
-    # (_shape) and the determinant (_det) are kept on the graph, each built
-    # once; the public methods hand out copies.
+    # The id layout (vertices, edges), the canonical key (_key), the subgraph
+    # determinants (_shape) and the determinant (_det) are kept on the graph,
+    # each built once; the public methods hand out copies.
+
+    @cached_property
+    def vertices(self):
+        """(id, weight) per vertex in walk order."""
+        return tuple((f"v{i}", w) for i, w in enumerate(self.weights))
+
+    @cached_property
+    def edges(self):
+        """frozenset of frozensets {id, id}."""
+        return frozenset(frozenset((f"v{i}", f"v{j}")) for i, j in self._links())
+
+    def _paths(self):
+        """The positions of each branch of a star, from the center outward."""
+        start = 1
+        for n in self.branches:
+            yield range(start, start + n)
+            start += n
+
+    def _links(self):
+        """The edges as pairs of positions: neighbours along a chain, and a
+        star's center to each branch and neighbours along each branch."""
+        if self.branches is None:
+            return [(i - 1, i) for i in range(1, len(self.weights))]
+        return [(p - 1 if p > path.start else 0, p) for path in self._paths() for p in path]
 
     @cached_property
     def _key(self):
-        w = dict(self.vertices)
-        center, paths = self._walk
-        if center is None:
-            if not paths:
-                return ("empty",)
-            seq = tuple(w[v] for v in paths[0])
-            return ("chain", min(seq, seq[::-1]))
-        bw = sorted((len(b), tuple(w[v] for v in b)) for b in paths)
-        return ("star", w[center], tuple(seq for _, seq in bw))
+        seq = self.weights
+        if self.branches is None:
+            return ("chain", min(seq, seq[::-1])) if seq else ("empty",)
+        bw = sorted((len(path), seq[path.start : path.stop]) for path in self._paths())
+        return ("star", seq[0], tuple(b for _, b in bw))
 
     @cached_property
     def _shape(self):
@@ -127,25 +108,17 @@ class WeightedDualGraph:
         the root's determinant: a chain's whole continuant, or a star's
         truncation that keeps every branch whole.
         """
-        if not self.vertices:
+        if not self.weights:
             return 1
         shape = self._shape
         delta = shape.pre[-1] if shape.chain else shape.trunc[0][-1]
         return delta if delta > 0 else None
 
-    @property
-    def weight_map(self):
-        return dict(self.vertices)
-
     def is_empty(self):
-        return not self.vertices
+        return not self.weights
 
     def is_chain(self):
-        return self._walk[0] is None
-
-    def center(self):
-        """The degree-3 vertex of a star, or None for chains."""
-        return self._walk[0]
+        return self.branches is None
 
     # -- canonical form ----------------------------------------------------
 
@@ -153,27 +126,23 @@ class WeightedDualGraph:
         return self._key
 
     def canonical_order(self):
-        """This graph's vertex ids in the order of the vertices of
-        canonical(): the chain from its smaller end, or the center and then
-        the branches sorted as in the canonical key."""
-        w = dict(self.vertices)
-        center, paths = self._walk
-        if center is None:
-            if not paths:
-                return []
-            path = paths[0]
-            seq = [w[v] for v in path]
-            return list(path) if seq <= seq[::-1] else list(path[::-1])
-        ordered = sorted(paths, key=lambda b: (len(b), [w[v] for v in b]))
-        return [center] + [v for b in ordered for v in b]
+        """The positions of this graph's vertices in the order of the
+        vertices of canonical(): the chain from its smaller end, or the
+        center and then the branches sorted as in the canonical key."""
+        seq = self.weights
+        if self.branches is None:
+            order = range(len(seq))
+            return list(order) if seq <= seq[::-1] else list(reversed(order))
+        paths = sorted(self._paths(), key=lambda path: (len(path), seq[path.start : path.stop]))
+        return [0] + [p for path in paths for p in path]
 
     def canonical(self):
         key = self._key
         if key[0] == "empty":
             return chain([])
         if key[0] == "chain":
-            return chain(list(key[1]))
-        return star(key[1], [list(b) for b in key[2]])
+            return chain(key[1])
+        return star(key[1], key[2])
 
     def __eq__(self, other):
         if not isinstance(other, WeightedDualGraph):
@@ -187,71 +156,18 @@ class WeightedDualGraph:
         return f"WeightedDualGraph({format_graph(self)!r})"
 
 
-def _adjacency(g):
-    adj = {v: [] for v, _ in g.vertices}
-    for e in g.edges:
-        a, b = e
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def _path(adj, first, prev):
-    """Vertex ids from first to the end of the path that leaves prev behind."""
-    path = [first]
-    while True:
-        nxt = [v for v in adj[path[-1]] if v != prev]
-        if not nxt:
-            return tuple(path)
-        prev = path[-1]
-        path.append(nxt[0])
-
-
-def _check_weights(vertices):
-    for _, w in vertices:
-        if w < 2:
-            raise ValueError(f"vertex weight {w} < 2")
-
-
-def _known(vertices, edges, walk):
-    """The graph on these vertices and edges with the walk (center, paths)
-    that _check_shape would find, which the caller built along with them:
-    only the weights are checked, and no adjacency is walked."""
-    _check_weights(vertices)
-    g = object.__new__(WeightedDualGraph)
-    object.__setattr__(g, "vertices", vertices)
-    object.__setattr__(g, "edges", edges)
-    object.__setattr__(g, "_walk", walk)
-    return g
-
-
 def chain(weights):
-    """The chain with these weights end to end, vertex ids v0, v1, ...; its
-    walk is the ids in that order."""
-    ids = tuple(f"v{i}" for i in range(len(weights)))
-    verts = tuple(zip(ids, weights))
-    edges = frozenset(map(frozenset, zip(ids, ids[1:])))
-    return _known(verts, edges, (None, (ids,) if ids else ()))
+    """The chain with these weights end to end."""
+    return WeightedDualGraph(tuple(weights))
 
 
 def star(center_weight, branch_weights):
     """The star with this center weight and these three branches, each from
-    the center outward, vertex ids v0 (the center), v1, ... branch by
-    branch; its walk is the center and the branches as given."""
+    the center outward."""
     if len(branch_weights) != 3 or any(not b for b in branch_weights):
         raise ValueError("a star needs exactly three nonempty branches")
-    verts = [("v0", center_weight)]
-    edges = []
-    paths = []
-    for branch in branch_weights:
-        path = []
-        for w in branch:
-            vid = f"v{len(verts)}"
-            edges.append(frozenset((path[-1] if path else "v0", vid)))
-            verts.append((vid, w))
-            path.append(vid)
-        paths.append(tuple(path))
-    return _known(tuple(verts), frozenset(edges), ("v0", tuple(paths)))
+    weights = (center_weight,) + tuple(w for b in branch_weights for w in b)
+    return WeightedDualGraph(weights, tuple(map(len, branch_weights)))
 
 
 @dataclass(frozen=True)
@@ -469,18 +385,13 @@ def parse_graph(text):
 
 
 def intersection_matrix(g):
-    """Symmetric integer matrix: diagonal -weight, 1 on edges."""
-    ids = [v for v, _ in g.vertices]
-    index = {v: i for i, v in enumerate(ids)}
-    w = g.weight_map
-    n = len(ids)
+    """Symmetric integer matrix by position: diagonal -weight, 1 on edges."""
+    n = len(g.weights)
     m = [[0] * n for _ in range(n)]
-    for i, v in enumerate(ids):
-        m[i][i] = -w[v]
-    for e in g.edges:
-        a, b = tuple(e)
-        m[index[a]][index[b]] = 1
-        m[index[b]][index[a]] = 1
+    for i, w in enumerate(g.weights):
+        m[i][i] = -w
+    for i, j in g._links():
+        m[i][j] = m[j][i] = 1
     return m
 
 
@@ -496,38 +407,31 @@ def _continuants(weights):
 
 
 class _Shape:
-    """Vertex positions of a nonempty chain or star, and the subgraph
-    determinants (det of -M on a vertex subset) that the determinant, the
-    closed-form displays and the adjugate read.
+    """The subgraph determinants (det of -M on a vertex subset) of a
+    nonempty chain or star that the determinant, the closed-form displays
+    and the adjugate read, by walk position.
 
-    Chain: `order` lists the positions end to end, `at[p]` is the index of
-    position p in it, and `pre[k]` / `suf[k]` are the determinants of the
-    first k vertices of the order and of all but the first k.
+    Chain: `pre[k]` / `suf[k]` are the determinants of the first k vertices
+    and of all but the first k.
 
-    Star: `center`, `branches` (the positions of each branch from the center
-    outward), and `at[p]` = (branch, index from the center outward) for
-    every other position p; `d[b]` is the determinant of branch b,
-    `outer[b][k]` that of branch b from its k-th vertex outward, and
-    `trunc[b][k]` that of the whole graph with branch b cut down to its
-    first k vertices.
+    Star: the center is position 0; `branches` holds the positions of each
+    branch from the center outward, and `at[p]` = (branch, index from the
+    center outward) for every other position p; `d[b]` is the determinant
+    of branch b, `outer[b][k]` that of branch b from its k-th vertex
+    outward, and `trunc[b][k]` that of the whole graph with branch b cut
+    down to its first k vertices.
     """
 
     def __init__(self, g):
-        index = {v: i for i, (v, _) in enumerate(g.vertices)}
-        weights = [w for _, w in g.vertices]
-        center, paths = g._walk
-        self.chain = center is None
+        weights = g.weights
+        self.chain = g.branches is None
         if self.chain:
-            self.order = [index[v] for v in paths[0]]
-            self.at = {p: k for k, p in enumerate(self.order)}
-            ws = [weights[p] for p in self.order]
-            self.pre = _continuants(ws)
-            self.suf = _continuants(ws[::-1])[::-1]
+            self.pre = _continuants(weights)
+            self.suf = _continuants(weights[::-1])[::-1]
             return
-        c = self.center = index[center]
-        branches = self.branches = [[index[v] for v in br] for br in paths]
-        self.at = {p: (b, k) for b, br in enumerate(branches) for k, p in enumerate(br)}
-        self.outer = [_continuants([weights[p] for p in br][::-1])[::-1] for br in branches]
+        branches = self.branches = list(g._paths())
+        self.at = [None] + [(b, k) for b, br in enumerate(branches) for k in range(len(br))]
+        self.outer = [_continuants(weights[br.start : br.stop][::-1])[::-1] for br in branches]
         self.d = [s[0] for s in self.outer]
         self.trunc = []
         for b, br in enumerate(branches):
@@ -537,7 +441,7 @@ class _Shape:
             # w * trunc[b][k - 1] - trunc[b][k - 2], where one step below 0
             # (the center cut away too) leaves the other two branches
             below = s[0] * t[0]
-            cur = weights[c] * s[0] * t[0] - s[1] * t[0] - s[0] * t[1]
+            cur = weights[0] * s[0] * t[0] - s[1] * t[0] - s[0] * t[1]
             row = [cur]
             for p in br:
                 below, cur = cur, weights[p] * cur - below

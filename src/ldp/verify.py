@@ -215,7 +215,7 @@ def _incidence_checks():
     monotone_cases = 0
 
     for g in _sweep_graphs():
-        n = len(g.vertices)
+        n = len(g.weights)
         # displays cover single-point incidence of any multiplicity and
         # two-point incidence with multiplicity one at both points
         cases, mismatches = discrepancy.closed_form_check(g, 4)

@@ -7,7 +7,6 @@ from ldp import graphs, verify
 from ldp.graphs import (
     MAX_VERTICES,
     DynkinSyntaxError,
-    WeightedDualGraph,
     chain,
     dynkin_matrix,
     format_dynkin,
@@ -40,8 +39,7 @@ def test_parse_run_length():
 def test_parse_star():
     g = parse_graph("[2;[2],[3],[5]]")
     assert not g.is_chain()
-    center = g.center()
-    assert dict(g.vertices)[center] == 2
+    assert (g.weights[0], g.branches) == (2, (1, 1, 1))  # the center first
     assert len(g.vertices) == 4
 
 
@@ -119,21 +117,13 @@ def test_star_negative_definiteness_matches_sympy(c, branches):
         st.builds(star, weights, st.lists(st.lists(weights, min_size=1, max_size=2),
                                           min_size=3, max_size=3)),
     ),
-    st.randoms(use_true_random=False),
 )
 @settings(max_examples=60, deadline=None)
-def test_canonical_order_maps_a_graph_onto_its_canonical_form(g, rng):
-    # the same graph under shuffled vertex ids and vertex order
-    ids = [v for v, _ in g.vertices]
-    names = dict(zip(ids, rng.sample([f"u{i}" for i in range(len(ids))], len(ids))))
-    verts = [(names[v], w) for v, w in g.vertices]
-    rng.shuffle(verts)
-    g = graphs.WeightedDualGraph(
-        tuple(verts), frozenset(frozenset(names[v] for v in e) for e in g.edges)
-    )
+def test_canonical_order_maps_a_graph_onto_its_canonical_form(g):
     canon = g.canonical()
-    to_canon = dict(zip(g.canonical_order(), (v for v, _ in canon.vertices)))
-    assert [g.weight_map[v] for v in to_canon] == [w for _, w in canon.vertices]
+    order = g.canonical_order()
+    assert [g.weights[p] for p in order] == list(canon.weights)
+    to_canon = {g.vertices[p][0]: v for p, (v, _) in zip(order, canon.vertices)}
     assert {frozenset(map(to_canon.get, e)) for e in g.edges} == set(canon.edges)
 
 
@@ -144,8 +134,8 @@ def test_pinned_determinants():
 
 
 def test_empty_type_determinant_is_one():
-    t = graphs.DynkinType(())
-    assert len(t.components) == 0
+    assert len(graphs.DynkinType(()).components) == 0
+    assert graph_determinant(chain([])) == 1
 
 
 def test_dynkin_matrix_is_block_diagonal():
@@ -208,18 +198,29 @@ def _walked_graphs():
     yield star(5, [[2] * third, [3] * third, [2] * (MAX_VERTICES - 1 - 2 * third)])
 
 
-def test_constructors_hand_over_the_walk_the_shape_check_finds():
+def test_vertices_and_edges_keep_the_constructors_layout():
+    # ids v0, v1, ... in walk order: a chain's edges join neighbours, and a
+    # star's join its centre v0 to each branch and neighbours along each
+    assert (chain([4, 2]).weights, chain([4, 2]).branches) == ((4, 2), None)
+    assert (star(5, [[2, 3], [4], [6]]).weights, star(5, [[2, 3], [4], [6]]).branches) == (
+        (5, 2, 3, 4, 6),
+        (2, 1, 1),
+    )
     count = 0
     for g in _walked_graphs():
-        center, paths = g._walk
-        found_center, found_paths = g._check_shape()
-        assert center == found_center
-        assert len(paths) == len(found_paths) and set(paths) == set(found_paths)
-        # the same vertices and edges through the full check
-        raw = WeightedDualGraph(g.vertices, g.edges)
-        assert raw._key == g._key
-        assert graph_determinant(raw) == graph_determinant(g)
-        assert format_graph(raw) == format_graph(g)
+        ids = [f"v{i}" for i in range(len(g.weights))]
+        if g.is_chain():
+            pairs = list(zip(ids, ids[1:]))
+        else:
+            assert len(g.branches) == 3 and min(g.branches) >= 1
+            assert sum(g.branches) == len(ids) - 1
+            pairs, start = [], 1
+            for length in g.branches:
+                path = ["v0"] + ids[start : start + length]
+                pairs += zip(path, path[1:])
+                start += length
+        assert g.vertices == tuple(zip(ids, g.weights))
+        assert g.edges == frozenset(map(frozenset, pairs))
         count += 1
     assert count >= 8270 + 2 * 530
 
@@ -236,18 +237,3 @@ def test_constructors_hand_over_the_walk_the_shape_check_finds():
 def test_constructors_keep_the_weight_check(make):
     with pytest.raises(ValueError, match="< 2"):
         make()
-
-
-def test_a_raw_graph_keeps_the_full_check():
-    v = (("a", 2), ("b", 2), ("c", 2))
-    ab, bc, ca = frozenset("ab"), frozenset("bc"), frozenset("ca")
-    for vertices, edges, fragment in [
-        ((("a", 2), ("a", 3)), frozenset(), "duplicate"),
-        (v, frozenset({ab, frozenset("ax")}), "bad edge"),
-        (v, frozenset({ab, bc, ca}), "tree"),
-        ((*v, ("d", 2)), frozenset({ab, bc, ca}), "connected"),
-        (v + (("d", 2), ("e", 2)), frozenset(map(frozenset, ["ab", "ac", "ad", "ae"])),
-         "three branches"),
-    ]:
-        with pytest.raises(ValueError, match=fragment):
-            WeightedDualGraph(vertices, edges)

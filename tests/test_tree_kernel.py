@@ -26,8 +26,6 @@ from ldp import discrepancy as D
 from ldp.graphs import (
     InvariantError,
     NotNegativeDefiniteError,
-    WeightedDualGraph,
-    _adjacency,
     chain,
     graph_determinant,
     intersection_matrix,
@@ -41,19 +39,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @st.composite
 def trees(draw):
-    """A chain or a three-branch star of at most 40 vertices, weights 2..6,
-    with its vertices listed in a random order so that the elimination root
-    is anywhere.  Half the stars have only (-2)-curves on their branches:
-    around a centre of weight 2 those are indefinite beyond E8."""
+    """A chain or a three-branch star of at most 40 vertices, weights 2..6.
+    Half the stars have only (-2)-curves on their branches: around a centre
+    of weight 2 those are indefinite beyond E8."""
     w = st.integers(min_value=2, max_value=6)
     if draw(st.booleans()):
-        g = chain(draw(st.lists(w, min_size=1, max_size=40)))
-    else:
-        sizes = draw(st.lists(st.integers(1, 13), min_size=3, max_size=3))
-        bw = st.just(2) if draw(st.booleans()) else w
-        g = star(draw(w), [draw(st.lists(bw, min_size=k, max_size=k)) for k in sizes])
-    vertices = draw(st.permutations(g.vertices))
-    return WeightedDualGraph(tuple(vertices), g.edges)
+        return chain(draw(st.lists(w, min_size=1, max_size=40)))
+    sizes = draw(st.lists(st.integers(1, 13), min_size=3, max_size=3))
+    bw = st.just(2) if draw(st.booleans()) else w
+    return star(draw(w), [draw(st.lists(bw, min_size=k, max_size=k)) for k in sizes])
 
 
 @given(trees())
@@ -71,7 +65,7 @@ def test_tree_kernel_matches_dense_linear_algebra(g):
             graph_determinant(g)
         return
     assert graph_determinant(g) == abs(linalg.int_det(m))
-    data = D._graph_data(g)
+    data = D._require_usable(g)
     delta, adj, e, kappa = data.delta, data.adj, data.e, data.kappa
     assert delta == graph_determinant(g)
     for i in range(n):
@@ -82,9 +76,13 @@ def test_tree_kernel_matches_dense_linear_algebra(g):
 
 
 def _path(g, u, v):
-    """Positions on the u-v path of the tree g, by a walk from u."""
+    """Positions on the u-v path of the tree g, by a walk from u over its
+    edges."""
     ids = [x for x, _ in g.vertices]
-    adj = _adjacency(g)
+    adj = {x: [] for x in ids}
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
     parent = {ids[u]: None}
     stack = [ids[u]]
     while stack:
@@ -108,7 +106,7 @@ def test_product_formula_adjugate_matches_dense_linear_algebra(g, data):
     n = len(m)
     minus_m = [[-x for x in row] for row in m]
     delta = linalg.int_det(minus_m)
-    rec = D._graph_data(g)
+    rec = D._require_usable(g)
     assert rec.delta == delta
     # every entry of a drawn column against delta * (-M)^-1, and one entry as
     # the determinant of -M on the forest off the u-v path
@@ -125,12 +123,10 @@ def test_product_formula_adjugate_matches_dense_linear_algebra(g, data):
 
 def test_adjugate_entries_match_the_unit_vector_products():
     # every chain and star of at most 6 vertices with weights 2..5, up to
-    # isomorphism: the graphs group 5 sweeps, with their vertex lists
-    # reversed, so that positions run against the walk
+    # isomorphism: the graphs group 5 sweeps
     count = 0
     for g in verify._sweep_graphs():
-        g = WeightedDualGraph(g.vertices[::-1], g.edges)
-        data = D._graph_data(g)
+        data = D._require_usable(g)
         n = len(g.vertices)
         units = [[int(i == j) for i in range(n)] for j in range(n)]
         assert data.adj == [D._adj_times(data.shape, x) for x in units]
@@ -162,7 +158,7 @@ def test_sweep_graphs_yields_each_canonical_graph_once_and_lets_it_go():
     sweep = verify._sweep_graphs()
     assert inspect.isgenerator(sweep)
     first = next(sweep)
-    D._graph_data(first)
+    D._require_usable(first)
     gone = weakref.ref(first)
     keys = [first.canonical_key()]
     del first
