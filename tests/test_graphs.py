@@ -237,3 +237,9 @@ def test_vertices_and_edges_keep_the_constructors_layout():
 def test_constructors_keep_the_weight_check(make):
     with pytest.raises(ValueError, match="< 2"):
         make()
+
+
+@pytest.mark.parametrize("branches", [[[2], [2]], [[2], [], [2]], [[2]] * 4])
+def test_star_needs_three_nonempty_branches(branches):
+    with pytest.raises(ValueError, match="three nonempty branches"):
+        star(2, branches)
