@@ -280,7 +280,8 @@ class _Parser:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit is also true for '²' and '٣'
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
@@ -344,7 +345,7 @@ class _Parser:
 
     def item(self):
         self.mult = 1
-        if self.peek().isdigit():
+        if "0" <= self.peek() <= "9":
             at = self.pos
             self.mult = self.integer()
             if self.mult < 2:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldp import cli, discrepancy, graphs, verify
+from ldp import cli, discrepancy, fields, graphs, verify
 
 
 def run(capsys, *argv):
@@ -177,6 +177,34 @@ def test_python_m_ldp_runs_the_cli():
     assert json.loads(proc.stdout)["notation"] == "[2]"
 
 
+def test_dual_graph_commands_load_only_the_dual_graph_layers():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import ldp\n"
+        "from ldp.cli import main\n"
+        "argvs = [['parse', '2[2^4]+[3]'], ['det', '[2;[2],[3],[5]]'],\n"
+        "         ['report', '2[2^4]+[2;[2],[3],[5]]'], ['hunt', '2[2^4]+[3]'],\n"
+        "         ['lct', '[3]', '--incidence', '1'], ['lemma42', '[2,4]', '--max-a', '2'],\n"
+        "         ['table1', '--n', '0..4', '--m', '1..4']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in argvs]\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('ldp.'))\n"
+        "assert ldp.linalg.int_det([[2]]) == 2\n"
+        "print(json.dumps([codes, loaded, len(ldp.verify.expected_values())]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, pinned = json.loads(proc.stdout)
+    assert codes == [0] * 7
+    # none of ldp.pencil, .poly, .fields, .picard, .linalg or .verify
+    assert loaded == ["ldp.cli", "ldp.discrepancy", "ldp.feasibility", "ldp.graphs"]
+    # and each of them still loads on first access
+    assert pinned == 39
+
+
 def test_det_of_a_long_chain(capsys):
     # a chain of k (-2)-curves is A_k, with determinant k + 1
     data = run_json(capsys, "det", "[2^160]")
@@ -278,7 +306,7 @@ def test_pencil_takes_the_characteristic_at_the_bound(capsys):
 @pytest.mark.parametrize("value", [str(cli.MAX_PENCIL_CHAR + 1), "1000000000000000003"])
 def test_pencil_refuses_a_characteristic_above_the_bound(capsys, monkeypatch, value):
     # refused before the field's primality test, which is trial division
-    monkeypatch.setattr(cli, "PrimeField", None)
+    monkeypatch.setattr(fields, "PrimeField", None)
     code, out, err = run(capsys, "pencil", "--char", value)
     assert (code, out) == (2, "")
     assert err == f"error: --char {value}: above the bound of {cli.MAX_PENCIL_CHAR}\n"

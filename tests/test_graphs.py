@@ -69,6 +69,11 @@ def test_chain_reversal_same_graph():
         ("1[2]", "multiplicity"),
         ("[2;[2],[],[3]]", "integer"),
         ("", "expected"),
+        # ASCII digits only, though str.isdigit is true for these too
+        ("[2^\u00b2]", "expected an integer (at offset 3)"),
+        ("[\u00b2]", "expected an integer (at offset 1)"),
+        ("[\u0663]", "expected an integer (at offset 1)"),
+        ("\u00b2[2]", "expected '[' (at offset 0)"),
     ],
 )
 def test_parse_errors_carry_offsets(text, fragment):
