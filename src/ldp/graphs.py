@@ -252,6 +252,9 @@ def format_dynkin(t):
 # multiplicity prefix, so an oversized type is refused without being built.
 MAX_VERTICES = 2000
 
+# the digits the notation takes: str.isdigit is also true for '²' and '٣'
+_DIGITS = frozenset("0123456789")
+
 
 class _Parser:
     def __init__(self, text):
@@ -280,8 +283,7 @@ class _Parser:
     def integer(self):
         self.skip_ws()
         start = self.pos
-        # ASCII digits only: str.isdigit is also true for '²' and '٣'
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
@@ -345,7 +347,7 @@ class _Parser:
 
     def item(self):
         self.mult = 1
-        if "0" <= self.peek() <= "9":
+        if self.peek() in _DIGITS:
             at = self.pos
             self.mult = self.integer()
             if self.mult < 2:
