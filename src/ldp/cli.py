@@ -8,12 +8,12 @@ goes away first.  Rational numbers are serialized as "p/q" strings, never as
 decimals.
 """
 
-import argparse
 import functools
 import json
 import math
 import os
 import sys
+import types
 
 # the commands that need the pencil, polynomial, field or verification layer
 # import it when they run, so the dual-graph commands never load them
@@ -148,10 +148,25 @@ def cmd_report(args):
     _emit(data)
 
 
+def _integer(text):
+    """int(text) for an optional sign and ASCII digits only, not whitespace,
+    "_" or other digits.  Its error is a ValueError, and for argparse, whose
+    type it is for --max-a and --char, int()'s message."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits and graphs._DIGITS.issuperset(digits):
+        return int(text)
+    import argparse
+
+    class IntegerError(argparse.ArgumentTypeError, ValueError):
+        pass
+
+    raise IntegerError(f"invalid int value: {text!r}")
+
+
 def _parse_incidence(text):
     """The comma-separated integers of --incidence, as a tuple."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(_integer(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"--incidence {text!r}: expected comma-separated integers") from None
 
@@ -266,7 +281,7 @@ def _parse_range(flag, text):
     as (lo, hi)."""
     lo, sep, hi = text.partition("..")
     try:
-        bounds = (int(lo), int(hi if sep else lo))
+        bounds = (_integer(lo), _integer(hi if sep else lo))
     except ValueError:
         raise ValueError(f"{flag} {text!r}: expected an integer or a range lo..hi") from None
     if bounds[0] > bounds[1]:
@@ -282,7 +297,7 @@ def _parse_l(text):
     if text == "all":
         return None
     try:
-        values = {int(x) for x in text.split(",")}
+        values = {_integer(x) for x in text.split(",")}
     except ValueError:
         raise ValueError(f"--l {text!r}: expected 'all' or comma-separated integers") from None
     allowed = {
@@ -411,60 +426,94 @@ def cmd_verify_paper(args):
     return 1 if failed else 0
 
 
+# The command grammar, which build_parser hands to argparse and _plain_args
+# reads: each command's help, positional argument (or None) and options, as
+# {flag: (dest, default, converter, help)}.  A converter of None keeps the
+# text and bool marks a bare flag; an option without a default is required.
+_COMMANDS = {
+    "parse": ("parse bracket notation into components", "notation", {}),
+    "det": ("intersection-matrix determinants", "notation", {}),
+    "report": ("full feasibility report for a configuration", "notation", {}),
+    "lct": ("log canonical threshold bound for a curve incidence", "notation",
+            {"--incidence": ("incidence", None, None, "comma-separated multiplicities")}),
+    "lemma42": ("sweep incidence vectors: classifications and closed-form check", "notation",
+                {"--max-a": ("max_a", 4, _integer, None)}),
+    "hunt": ("largest-discrepancy extraction target", "notation", {}),
+    "table1": ("enumerate the tabulated configurations", None,
+               {"--n": ("n", "0..2", None, None), "--m": ("m", "1..2", None, None),
+                "--l": ("l", "all", None, None)}),
+    "pencil": ("singular members of the cubic pencil", None,
+               {"--char": ("char", 0, _integer, "0 for the rationals")}),
+    "crossratio": ("cross-ratio minimal polynomials", None, {}),
+    "weighted-model": ("weighted-hypersurface member checks", None, {}),
+    "verify-paper": ("recompute and compare every pinned value", None,
+                     {"--json": ("json", False, bool, None)}),
+}
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built on the first call and reused after."""
+    """The argument parser of _COMMANDS, built on the first call and reused."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ldp",
         description="Exact computations on resolution dual graphs, blowup "
         "lattices, and the associated cubic pencil.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse bracket notation into components")
-    p.add_argument("notation")
-
-    p = sub.add_parser("det", help="intersection-matrix determinants")
-    p.add_argument("notation")
-
-    p = sub.add_parser("report", help="full feasibility report for a configuration")
-    p.add_argument("notation")
-
-    p = sub.add_parser("lct", help="log canonical threshold bound for a curve incidence")
-    p.add_argument("notation")
-    p.add_argument("--incidence", required=True, help="comma-separated multiplicities")
-
-    p = sub.add_parser(
-        "lemma42", help="sweep incidence vectors: classifications and closed-form check"
-    )
-    p.add_argument("notation")
-    p.add_argument("--max-a", type=int, default=4)
-
-    p = sub.add_parser("hunt", help="largest-discrepancy extraction target")
-    p.add_argument("notation")
-
-    p = sub.add_parser("table1", help="enumerate the tabulated configurations")
-    p.add_argument("--n", default="0..2")
-    p.add_argument("--m", default="1..2")
-    p.add_argument("--l", default="all")
-
-    p = sub.add_parser("pencil", help="singular members of the cubic pencil")
-    p.add_argument("--char", type=int, default=0, help="0 for the rationals")
-
-    sub.add_parser("crossratio", help="cross-ratio minimal polynomials")
-
-    sub.add_parser("weighted-model", help="weighted-hypersurface member checks")
-
-    p = sub.add_parser("verify-paper", help="recompute and compare every pinned value")
-    p.add_argument("--json", action="store_true")
-
+    for name, (about, positional, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        if positional:
+            p.add_argument(positional)
+        for flag, (dest, default, convert, text) in options.items():
+            if convert is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=text)
+            else:
+                p.add_argument(flag, dest=dest, default=default, type=convert,
+                               required=default is None, help=text)
     return parser
 
 
+def _plain_args(argv):
+    """What argparse reads from argv when argv has the plain form, else None.
+    That form is a command, its positional argument if it takes one, and
+    options spelled in full, each value a separate argument; no value or
+    positional argument starts with "-", and integers are _integer's."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positional, options = _COMMANDS[argv[0]]
+    values = {"command": argv[0]}
+    rest = iter(argv[1:])
+    if positional:
+        # a missing argument reads as "-", which is refused like any such value
+        values[positional] = value = next(rest, "-")
+        if value[:1] == "-":
+            return None
+    values.update((dest, default) for dest, default, _, _ in options.values())
+    for flag in rest:
+        if flag not in options:
+            return None
+        dest, _, convert, _ = options[flag]
+        if convert is bool:
+            values[dest] = True
+            continue
+        value = next(rest, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            values[dest] = value if convert is None else convert(value)
+        except ValueError:
+            return None
+    # None where a required option is missing
+    return None if None in values.values() else types.SimpleNamespace(**values)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    # looked up per call, not bound into the cached parser, so that a
-    # rebound cmd_* function takes effect
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse only for help, usage errors and other spellings
+    args = _plain_args(argv) or build_parser().parse_args(argv)
+    # looked up per call, not held in the table or the cached parser, so
+    # that a rebound cmd_* function takes effect
     fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         code = fn(args)

@@ -1,9 +1,12 @@
 """tools/bench_record.py refuses to record a side it cannot name, and
-byte-compiles every side before it measures any."""
+measures every side without a bytecode cache."""
 
+import compileall
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,28 +48,34 @@ def test_a_side_with_uncommitted_src_changes_is_refused(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-def test_every_side_is_byte_compiled_before_the_first_run(tmp_path, monkeypatch):
+def test_no_side_has_a_bytecode_cache_when_a_run_starts(tmp_path, monkeypatch):
     tool = _load_tool()
     sides = []
     for label in ("parent", "change"):
-        for sub in ("src", "perfbench"):
+        for sub in ("src", "src/pkg", "perfbench", "tests"):
             (tmp_path / label / sub).mkdir(parents=True)
             (tmp_path / label / sub / "mod.py").write_text("x = 1\n")
+        assert compileall.compile_dir(tmp_path / label, quiet=1)
         sides += ["--side", f"{label}={tmp_path / label}"]
-    compiled = []
+    metrics = {m: {"value": 1.0} for m in ("setup_s", "wall_s", "items_per_s", "item_p50_ms",
+                                           "item_p90_ms", "peak_rss_mib")}
+    envs = []
 
-    class FirstRun(Exception):
-        pass
-
-    def first_run(root, *args):
-        compiled.extend(sorted(p.relative_to(tmp_path).parts for p in tmp_path.rglob("*.pyc")))
-        raise FirstRun
+    def child(cmd, cwd, env, **kwargs):
+        # only the caches outside src/ and perfbench/ are left
+        left = sorted(p.relative_to(tmp_path).parts[:2] for p in tmp_path.rglob("*.pyc"))
+        assert left == [("change", "tests"), ("parent", "tests")]
+        envs.append(env)
+        if cmd[1] == "-c":  # the verify-paper child
+            outcome = {"group": 1, "seconds": 0.1, "status": "Pass"}
+            return SimpleNamespace(returncode=0, stdout=json.dumps([outcome]), stderr="1024\n")
+        context = {"context": {"commit": "c", "error_rate": 0.0}}
+        return SimpleNamespace(stdout=json.dumps(context) + "\n" + json.dumps({"metrics": metrics}))
 
     monkeypatch.setattr(tool, "dirty_src", lambda root: False)
-    monkeypatch.setattr(tool, "run", first_run)
-    with pytest.raises(FirstRun):
-        tool.main(["--out", str(tmp_path / "out.json"), *sides])
-    assert sorted(parts[:2] for parts in compiled) == [
-        ("change", "perfbench"), ("change", "src"), ("parent", "perfbench"), ("parent", "src")
-    ]
-    assert all(parts[2] == "__pycache__" and parts[3].startswith("mod.") for parts in compiled)
+    monkeypatch.setattr(tool, "src_tree", lambda root: None)
+    monkeypatch.setattr(tool.subprocess, "run", child)
+    assert tool.main(["--out", str(tmp_path / "out.json"), "--pairs", "2", *sides]) == 0
+    # 3 workloads of 2 pairs, 3 traced runs a side, and 2 pairs of verify-paper
+    assert len(envs) == 3 * 2 * 2 + 3 * 2 + 2 * 2
+    assert all(env["PYTHONDONTWRITEBYTECODE"] == "1" for env in envs)

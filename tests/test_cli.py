@@ -191,16 +191,24 @@ def test_dual_graph_commands_load_only_the_dual_graph_layers():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in argvs]\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('ldp.'))\n"
+        "plain = 'argparse' not in sys.modules\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf), contextlib.suppress(SystemExit):\n"
+        "    main(['report', '-h'])\n"
         "assert ldp.linalg.int_det([[2]]) == 2\n"
-        "print(json.dumps([codes, loaded, len(ldp.verify.expected_values())]))\n"
+        "print(json.dumps([codes, loaded, plain, buf.getvalue(),\n"
+        "                  len(ldp.verify.expected_values())]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded, pinned = json.loads(proc.stdout)
+    codes, loaded, plain, help_text, pinned = json.loads(proc.stdout)
     assert codes == [0] * 7
     # none of ldp.pencil, .poly, .fields, .picard, .linalg or .verify
     assert loaded == ["ldp.cli", "ldp.discrepancy", "ldp.feasibility", "ldp.graphs"]
+    # plain command lines never build the argument parser; help still does
+    assert plain
+    assert help_text.startswith("usage: ldp report [-h] notation\n")
     # and each of them still loads on first access
     assert pinned == 39
 
@@ -363,13 +371,15 @@ def test_verify_paper_json_adds_seconds_and_keeps_the_old_keys(capsys, monkeypat
 
 
 def test_parser_is_reused_without_leaking_state(capsys):
+    # the "=" forms are argparse's to read, so each of these reaches the parser
     assert cli.build_parser() is cli.build_parser()
-    narrow = run_json(capsys, "table1", "--n", "1..1", "--m", "1..1", "--l", "1")
-    default = run_json(capsys, "table1")
-    again = run_json(capsys, "table1", "--n", "0..2", "--m", "1..2", "--l", "all")
+    narrow = run_json(capsys, "table1", "--n=1..1", "--m=1..1", "--l=1")
+    default = run_json(capsys, "table1", "--n=0..2")
+    again = run_json(capsys, "table1", "--n=0..2", "--m=1..2", "--l=all")
     assert narrow["count"] < default["count"]
-    assert default == again
-    assert run_json(capsys, "lemma42", "[2,4]", "--max-a", "1")["max_a"] == 1
+    assert default == again == run_json(capsys, "table1")
+    assert run_json(capsys, "lemma42", "[2,4]", "--max-a=1")["max_a"] == 1
+    assert run_json(capsys, "lemma42", "--max-a=4", "[2,4]")["max_a"] == 4
     assert run_json(capsys, "lemma42", "[2,4]")["max_a"] == 4
 
 
@@ -514,6 +524,77 @@ def test_lemma42_rows_of_every_shape(capsys, monkeypatch):
     assert out == json.dumps(json.loads(out), indent=1) + "\n"
     row = json.loads(out)["rows"][6]
     assert row == {"incidence": [1, 0, 1], "pairing": row["pairing"], "verdicts": ["Unsupported"]}
+
+
+def run_or_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of main, also when argparse exits."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("lct", "[2,3]", "--incidence", "\u0663,1"), "--incidence", "\u0663,1"),
+    (("lct", "[2,3]", "--incidence", "1_0,1"), "--incidence", "1_0,1"),
+    (("table1", "--n", "0..1_0"), "--n", "0..1_0"),
+    (("table1", "--n", "\u0663"), "--n", "\u0663"),
+    (("table1", "--l", "\u0663"), "--l", "\u0663"),
+    (("table1", "--m", " 1..2"), "--m", " 1..2"),
+    (("lemma42", "[2,3]", "--max-a", "\u0664"), "--max-a", "\u0664"),
+    (("lemma42", "[2,3]", "--max-a", " 4"), "--max-a", " 4"),
+    (("pencil", "--char", "\u0667"), "--char", "\u0667"),
+    (("pencil", "--char", "1_3"), "--char", "1_3"),
+])
+def test_integers_are_ascii_digits_with_an_optional_sign(capsys, argv, flag, value):
+    # int() reads each of these values: Arabic-Indic digits, "_" and spaces
+    code, out, err = run_or_exit(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert flag in err and repr(value) in err
+
+
+def test_integer_options_keep_their_messages_and_signs(capsys):
+    code, out, err = run_or_exit(capsys, "lemma42", "[2,4]", "--max-a", "x")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --max-a: invalid int value: 'x'\n")
+    assert run_or_exit(capsys, "lemma42", "[2,4]", "--max-a=-1")[2] == (
+        "error: --max-a -1: must be at least 1\n")
+    assert run_json(capsys, "lemma42", "[2,4]", "--max-a", "+2")["max_a"] == 2
+    assert run_json(capsys, "pencil", "--char", "05")["characteristic"] == 5
+
+
+_COMMAND_NAMES = list(cli._COMMANDS)
+_FLAGS = sorted({flag for _, _, options in cli._COMMANDS.values() for flag in options})
+_WORDS = _COMMAND_NAMES + _FLAGS + [
+    "--max-a=2", "--n=0..3", "--json=1", "--max", "--inc", "--ch", "-h", "--help", "--", "-",
+    "4", "07", "-1", "+4", "\u0664", "1_0", " 4", "", "0", "1,2", "-1,2", "0..3", "1..2", "all",
+    "[2,4]", "[3]", "2[2^4]+[3]", "[2;[2],[3],[5]]",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_WORDS), max_size=7)
+       | st.builds(lambda name, rest: [name, *rest], st.sampled_from(_COMMAND_NAMES),
+                   st.lists(st.sampled_from(_WORDS), max_size=6)))
+def test_the_plain_path_reads_what_argparse_reads(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        parsed = vars(cli.build_parser().parse_args(argv))
+        typed = {k: (type(v), v) for k, v in vars(plain).items()}
+        assert typed == {k: (type(v), v) for k, v in parsed.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma42", "[2,4]", "--max-a=2"],
+    ["lemma42", "[2,4]", "--max", "2"],
+    ["lemma42", "--max-a", "2", "[2,4]"],
+])
+def test_other_spellings_are_left_to_argparse(capsys, argv):
+    assert cli._plain_args(argv) is None
+    assert cli._plain_args(["lemma42", "[2,4]", "--max-a", "2"]) is not None
+    assert run(capsys, *argv) == run(capsys, "lemma42", "[2,4]", "--max-a", "2")
 
 
 # -- the JSON writer ------------------------------------------------------------

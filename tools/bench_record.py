@@ -7,11 +7,12 @@ Each side is a checkout of this repository; its own `perfbench/run.py` runs
 against its own `src/`, so both sides use the benchmark code they carry.
 For every workload `BENCHMARK.json` lists, the sides take turns, one
 `--trace 0` run each per round for `--pairs` rounds, and the side that goes
-first alternates between rounds. Before the first run, every side's `src/`
-and `perfbench/` are byte-compiled, so that no side pays for compiling its
-modules in its runs while another loads them from caches an earlier run
-left. Each run lasts `run_seconds` from
-`BENCHMARK.json`. Then each side makes one `--trace 1` run of every workload
+first alternates between rounds. Every side runs without a bytecode cache:
+before the first run, the `__pycache__` directories under each side's `src/`
+and `perfbench/` are removed, and every child process runs with
+`PYTHONDONTWRITEBYTECODE=1`, so each run compiles the modules it imports, as
+a fresh checkout does, and no side loads caches an earlier run left. Each
+run lasts `run_seconds` from `BENCHMARK.json`. Then each side makes one `--trace 1` run of every workload
 in TRACED, for the per-layer numbers. Last, the sides take turns in the same
 way at `ldp verify-paper --json`, one fresh process per run, which records
 each check group's `seconds`, the process's wall time and its peak RSS.
@@ -25,10 +26,10 @@ refused (exit 2), since its tree id would not name the code that ran.
 """
 
 import argparse
-import compileall
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,12 +43,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACED = ("large_graphs", "paper_checks", "table1_scan")
 
 
+def child_env(**extra):
+    """The environment of every child: no bytecode cache is written."""
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **extra)
+
+
 def run(root, workload, seed, seconds, trace):
     """(context, result) of one perfbench run in the checkout at root."""
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, stdout=subprocess.PIPE, text=True, check=True,
+        cwd=root, env=child_env(), stdout=subprocess.PIPE, text=True, check=True,
     )
     context, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return context["context"], result
@@ -71,7 +77,7 @@ def verify_paper(root):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", VERIFY_CHILD], cwd=root, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        env=child_env(PYTHONPATH=os.path.join(root, "src")),
     )
     wall = time.perf_counter() - start
     if proc.returncode not in (0, 1):  # 1: a check failed, which the record shows
@@ -101,11 +107,14 @@ def dirty_src(root):
     return bool(proc.stdout.strip())
 
 
-def compile_side(root):
-    """Byte-compile the checkout at root: its `src/` and `perfbench/`, the
-    code its runs import.  True when every module compiled."""
-    return all(compileall.compile_dir(os.path.join(root, sub), quiet=1)
-               for sub in ("src", "perfbench"))
+def clear_caches(root):
+    """Remove the bytecode caches under the `src/` and `perfbench/` of the
+    checkout at root, the code its runs import."""
+    for sub in ("src", "perfbench"):
+        for dirpath, dirnames, _ in os.walk(os.path.join(root, sub)):
+            if "__pycache__" in dirnames:
+                dirnames.remove("__pycache__")
+                shutil.rmtree(os.path.join(dirpath, "__pycache__"))
 
 
 def summary(runs, names):
@@ -166,9 +175,8 @@ def main(argv=None):
         if dirty_src(root):
             parser.error(f"side {label} ({root}) has uncommitted changes under src/; "
                          "commit them, or record a committed clone")
-    for label, root in sides.items():
-        if not compile_side(root):
-            parser.error(f"side {label} ({root}) does not compile")
+    for root in sides.values():
+        clear_caches(root)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     seconds = bench["run_seconds"]
