@@ -12,10 +12,11 @@ before the first run, the `__pycache__` directories under each side's `src/`
 and `perfbench/` are removed, and every child process runs with
 `PYTHONDONTWRITEBYTECODE=1`, so each run compiles the modules it imports, as
 a fresh checkout does, and no side loads caches an earlier run left. Each
-run lasts `run_seconds` from `BENCHMARK.json`. Then each side makes one `--trace 1` run of every workload
-in TRACED, for the per-layer numbers. Last, the sides take turns in the same
-way at `ldp verify-paper --json`, one fresh process per run, which records
-each check group's `seconds`, the process's wall time and its peak RSS.
+run lasts `run_seconds` from `BENCHMARK.json`. Then each side makes one
+`--trace 1` run of every workload in TRACED, for the per-layer numbers.
+Last, the sides take turns in the same way at `ldp verify-paper --json`, one
+fresh process per run, which records each check group's `seconds`, the
+process's wall time and its peak RSS.
 
 The file records the Python version, the core count, each side's commit
 and the git id of its committed `src/` tree, every run's end-to-end metrics
