@@ -188,7 +188,7 @@ def cmd_lct(args):
             "exact_on_minimal_resolution": cls.verdict == discrepancy.LOG_RESOLUTION,
             "case": cls.case,
             "verdicts": cls.verdicts,
-            "pairing": str(cls.pairing),
+            "pairing": _ratio(cls.scaled, graphs.graph_determinant(g)),
         }
     )
 
@@ -277,8 +277,8 @@ MAX_TABLE1_PARAM = 100
 
 
 def _parse_range(flag, text):
-    """'k' or 'lo..hi' with integer bounds and lo <= hi <= MAX_TABLE1_PARAM,
-    as (lo, hi)."""
+    """'k' or 'lo..hi' with integer bounds, lo no less than the parameter's
+    least value in Table 1 and lo <= hi <= MAX_TABLE1_PARAM, as (lo, hi)."""
     lo, sep, hi = text.partition("..")
     try:
         bounds = (_integer(lo), _integer(hi if sep else lo))
@@ -288,6 +288,10 @@ def _parse_range(flag, text):
         raise ValueError(f"{flag} {text!r}: empty range, lower bound above upper bound")
     if bounds[1] > MAX_TABLE1_PARAM:
         raise ValueError(f"{flag} {text!r}: upper bound above {MAX_TABLE1_PARAM}")
+    name = flag.lstrip("-")
+    least = min(b[name][0] for b, _ in graphs.TABLE1_FAMILIES.values() if name in b)
+    if bounds[0] < least:
+        raise ValueError(f"{flag} {text!r}: lower bound below {least}")
     return bounds
 
 

@@ -19,7 +19,8 @@ cross-multiplied by delta, as delta*f_v = delta - (adj.a)_v - (adj.kappa)_v.
 The whole-type quantities read the same integers: per component,
 sum e_i kappa_i = kappa.adj.kappa / delta, e < 1 exactly when
 adj.kappa < delta, and the lcm of the denominators of e is
-delta / gcd(delta, adj.kappa).
+delta / gcd(delta, adj.kappa).  Fractions are made only at the output
+edge: e itself, the lct bound, K^2, the hunt coefficient, one error message.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ def _require_usable(g):
     passed the checks below.
 
     delta and the shape come from `graphs`, adj.kappa from the continuants
-    of the shape in O(n), and the adjugate, when asked for, in O(n^2).  No
-    Fraction is made until e is read.
+    of the shape in O(n), and the adjugate, when asked for, in O(n^2), all
+    of them integers.
     """
     data = vars(g).get("_data")
     if data is None:
@@ -164,18 +165,12 @@ def _adjugate(shape, n):
 @dataclass(frozen=True, eq=False)
 class _GraphData:
     """The per-graph record: delta = det(-M), kappa and adj.kappa = delta*e,
-    all integers, with e and the adjugate of -M built on first use."""
+    all integers, with the adjugate of -M built on first use."""
 
     shape: _Shape
     delta: int
     kappa: tuple
     adj_kappa: tuple
-
-    @cached_property
-    def e(self):
-        """e = adj.kappa / delta as Fractions, for the callers that read the
-        discrepancies themselves; the whole-type quantities do not."""
-        return tuple(Fraction(x, self.delta) for x in self.adj_kappa)
 
     @cached_property
     def adj(self):
@@ -211,8 +206,10 @@ def discrepancies(g):
     Entries are >= 0 since -M^{-1} has nonnegative entries; they stay < 1
     exactly for klt graphs (a few negative definite stars, e.g.
     [2;[2],[4],[4]], are log canonical but not klt and reach e = 1).
+    These are the Fractions adj.kappa / delta of scaled_discrepancies.
     """
-    return _require_usable(g).e
+    data = _require_usable(g)
+    return tuple(Fraction(x, data.delta) for x in data.adj_kappa)
 
 
 def scaled_discrepancies(g):
@@ -223,43 +220,10 @@ def scaled_discrepancies(g):
 
 
 @dataclass(frozen=True)
-class DiscrepancyData:
-    a: tuple
-    d: tuple
-    e: tuple
-    b: tuple
-    f: tuple
-
-    @property
-    def pairing(self):
-        """<a, b>."""
-        return sum(ai * bi for ai, bi in zip(self.a, self.b))
-
-
-def pair_coefficients(g, a):
-    data = _require_usable(g)
-    a = _check_incidence(g, a)
-    dd = _adj_times(data.shape, a)
-    if min(dd) < 0:
-        raise InvariantError(f"negative coefficient {dd}/{data.delta} for incidence {a}")
-    d = tuple(Fraction(x, data.delta) for x in dd)
-    b = tuple(di + ei for di, ei in zip(d, data.e))
-    f = tuple(1 - bi for bi in b)
-    return DiscrepancyData(a, d, data.e, b, f)
-
-
-def _scaled_pairing(data, a):
-    """delta*<a, b> = sum of a_i ((adj.a)_i + (adj.kappa)_i)."""
-    return sum(
-        ai * (x + k) for ai, x, k in zip(a, _adj_times(data.shape, a), data.adj_kappa) if ai
-    )
-
-
-@dataclass(frozen=True)
 class IncidenceClassification:
     verdicts: tuple  # one or two of the verdict constants
     case: str  # which shape case fired, "1a".."2f"; None for UNSUPPORTED
-    pairing: Fraction
+    scaled: int  # delta*<a, b>: the pairing <a, b> times det(-M)
 
     @property
     def verdict(self):
@@ -282,26 +246,25 @@ def _support_case(shape, support):
 
 def _classify(data, a, support, scaled):
     """classify_incidence from the scaled pairing delta*<a, b>."""
-    pairing = Fraction(scaled, data.delta)
     shape = data.shape
     case = _support_case(shape, support)
     if scaled > 2 * data.delta:
-        return IncidenceClassification((REJECTED,), case, pairing)
+        return IncidenceClassification((REJECTED,), case, scaled)
     if len(support) == 1 and a[support[0]] == 1:
-        return IncidenceClassification((LOG_RESOLUTION,), case, pairing)
+        return IncidenceClassification((LOG_RESOLUTION,), case, scaled)
     if len(a) == 1 and a[0] == 2:
         # a single curve meeting one exceptional curve twice: tangency and a
         # pair of transverse branches give the same incidence vector
-        return IncidenceClassification((ALMOST_LC_A, ALMOST_LC_B), case, pairing)
+        return IncidenceClassification((ALMOST_LC_A, ALMOST_LC_B), case, scaled)
     if (
         shape.chain
         and len(support) == 2
         and all(a[i] == 1 for i in support)
         and set(support) == {0, len(a) - 1}
     ):
-        return IncidenceClassification((ALMOST_LC_C,), case, pairing)
+        return IncidenceClassification((ALMOST_LC_C,), case, scaled)
     raise UnsupportedConfigurationError(
-        f"pairing {pairing} <= 2 on unexpected support pattern (case {case})"
+        f"pairing {Fraction(scaled, data.delta)} <= 2 on unexpected support pattern (case {case})"
     )
 
 
@@ -311,7 +274,9 @@ def classify_incidence(g, a):
     if not any(a):
         raise ZeroIncidenceError("incidence vector is zero")
     support = [i for i, x in enumerate(a) if x]
-    return _classify(data, a, support, _scaled_pairing(data, a))
+    # delta*<a, b> = sum of a_i ((adj.a)_i + (adj.kappa)_i)
+    dd, ak = _adj_times(data.shape, a), data.adj_kappa
+    return _classify(data, a, support, sum(a[i] * (dd[i] + ak[i]) for i in support))
 
 
 # -- closed-form log discrepancies -------------------------------------------
@@ -434,7 +399,7 @@ def incidence_sweep(g, max_a):
             try:
                 cls = _classify(data, a, support, s)
             except UnsupportedConfigurationError:
-                cls = IncidenceClassification((UNSUPPORTED,), None, Fraction(s, delta))
+                cls = IncidenceClassification((UNSUPPORTED,), None, s)
         yield a, s, cls
 
 
@@ -459,11 +424,21 @@ def closed_form_check(g, max_a):
 
 def lct_min_resolution(g, a):
     """min (1 - e_i)/d_i over vertices with d_i > 0; exact whenever the
-    minimal resolution already resolves the pair, an upper bound otherwise."""
-    data = pair_coefficients(g, a)
-    if not any(data.a):
+    minimal resolution already resolves the pair, an upper bound otherwise.
+    That is min (delta - (adj.kappa)_i)/(adj.a)_i over (adj.a)_i > 0, by
+    cross-multiplication, with one Fraction made at the end."""
+    data = _require_usable(g)
+    a = _check_incidence(g, a)
+    dd = _adj_times(data.shape, a)
+    if min(dd) < 0:
+        raise InvariantError(f"negative coefficient {dd}/{data.delta} for incidence {a}")
+    if not any(a):
         raise ZeroIncidenceError("incidence vector is zero")
-    return min((1 - ei) / di for di, ei in zip(data.d, data.e) if di > 0)
+    num, den = 1, 0  # infinity, above every candidate
+    for x, k in zip(dd, data.adj_kappa):
+        if x > 0 and (data.delta - k) * den < num * x:
+            num, den = data.delta - k, x
+    return Fraction(num, den)
 
 
 # -- whole-type quantities ----------------------------------------------------

@@ -558,12 +558,11 @@ def table1_enumerate(n_range=(0, 2), m_range=(1, 2), l_values=None):
     for fam, (bounds, _) in sorted(TABLE1_FAMILIES.items()):
         boxes = [{}]
         for name, (lo, hi) in sorted(bounds.items()):
-            if name == "n":
-                vals = range(n_range[0], n_range[1] + 1)
-            elif name == "m":
-                vals = range(max(lo, m_range[0]), m_range[1] + 1)
-            else:
+            if name == "l":
                 vals = [v for v in range(lo, hi + 1) if l_values is None or v in l_values]
+            else:
+                first, last = n_range if name == "n" else m_range
+                vals = range(first, last + 1)
             boxes = [dict(b, **{name: v}) for b in boxes for v in vals]
         for params in boxes:
             inst = Table1Instance.make(fam, **params)

@@ -125,13 +125,18 @@ def test_table1_count(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, text", [("--n", "3..1"), ("--m", "5..2"), ("--n", "0..x"), ("--m", "1.5")]
+    "flag, text",
+    [("--n", "3..1"), ("--m", "5..2"), ("--n", "0..x"), ("--m", "1.5"), ("--m", "0..2"),
+     ("--n=", "-1..3"), ("--m=", "-5..0")],
 )
 def test_table1_rejects_inverted_or_malformed_ranges(capsys, flag, text):
-    code, out, err = run(capsys, "table1", flag, text)
+    # a flag ending in "=" takes its value in the same argument, as a value
+    # that starts with "-" must
+    argv = [flag + text] if flag.endswith("=") else [flag, text]
+    code, out, err = run(capsys, "table1", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {flag} {text!r}: ")
+    assert err.startswith(f"error: {flag.rstrip('=')} {text!r}: ")
 
 
 @pytest.mark.parametrize(

@@ -69,23 +69,14 @@ def test_log_canonical_star_reaches_one():
     assert not D.is_klt(parse_dynkin("[2;[2],[4],[4]]"))
 
 
-def test_pair_coefficients_relations():
-    g = chain([2, 3, 4])
-    a = (1, 0, 1)
-    data = D.pair_coefficients(g, a)
-    assert data.b == tuple(d + e for d, e in zip(data.d, data.e))
-    assert data.f == tuple(1 - b for b in data.b)
-    assert data.pairing == sum(x * b for x, b in zip(a, data.b))
-
-
-def test_scaled_pairing_agrees_with_exact_pairing():
+def test_scaled_pairing_agrees_with_exact_pairing(dense):
     g = star(3, ((2, 2), (3,), (4,)))
     from ldp.graphs import intersection_matrix
 
     delta = abs(sympy.Matrix(intersection_matrix(g)).det())
+    solved = dense(g)
     for a in [(1, 0, 0, 0, 0), (0, 2, 0, 1, 0), (1, 1, 1, 1, 1)]:
-        data = D.pair_coefficients(g, a)
-        assert D._scaled_pairing(D._require_usable(g), a) == data.pairing * delta
+        assert D.classify_incidence(g, a).scaled == solved.pairing(a) * delta
 
 
 def test_classify_log_resolution():
@@ -120,7 +111,7 @@ def test_classify_index_mismatch():
         D.classify_incidence(chain([2, 4]), (1,))
 
 
-def test_closed_form_matches_solver_spot_checks():
+def test_closed_form_matches_solver_spot_checks(dense):
     cases = [
         (chain([2, 3, 4]), (0, 2, 0)),
         (chain([2, 3, 4]), (1, 0, 1)),
@@ -129,7 +120,7 @@ def test_closed_form_matches_solver_spot_checks():
     ]
     for g, a in cases:
         data = D._require_usable(g)
-        f = D.pair_coefficients(g, a).f
+        f = dense(g).f(a)
         support = [i for i, x in enumerate(a) if x]
         for v in support:
             assert D._display_scaled(data.shape, a, support, v) == data.delta * f[v]
@@ -292,15 +283,16 @@ def _display_branch(g, a, v):
     return "one branch, outer point" if kv > ko else "one branch, inner point"
 
 
-def test_every_display_branch_agrees_with_the_solver_on_small_trees():
+def test_every_display_branch_agrees_with_the_solver_on_small_trees(dense):
     reached = Counter()
     for g in _small_trees():
         n = len(g.vertices)
         data = D._require_usable(g)
+        solved = dense(g)
         cases = [tuple(m if i == u else 0 for i in range(n)) for u in range(n) for m in (1, 2, 3)]
         cases += [tuple(int(i in pair) for i in range(n)) for pair in itertools.combinations(range(n), 2)]
         for a in cases:
-            f = D.pair_coefficients(g, a).f
+            f = solved.f(a)
             support = [i for i, x in enumerate(a) if x]
             for v in support:
                 assert D._display_scaled(data.shape, a, support, v) == data.delta * f[v], (g, a, v)
@@ -308,21 +300,19 @@ def test_every_display_branch_agrees_with_the_solver_on_small_trees():
     assert len(reached) == 9, reached
 
 
-def test_incidence_sweep_matches_the_exact_solver():
+def test_incidence_sweep_matches_the_exact_solver(dense):
     g = star(3, ((2, 2), (3,), (4,)))
     data = D._require_usable(g)
     delta = data.delta
+    solved = dense(g)
     rows = list(D.incidence_sweep(g, 3))
     assert len(rows) == 55  # C(3 + 5, 5) - 1 nonzero vectors
     assert [sum(a) for a, *_ in rows] == sorted(sum(a) for a, *_ in rows)
     for a, scaled, cls in rows:
-        solved = D.pair_coefficients(g, a)
         # the adjugate the sweep steps along gives delta*d
-        assert [Fraction(sum(map(operator.mul, row, a)), delta) for row in data.adj] == list(
-            solved.d
-        )
-        assert Fraction(scaled, delta) == solved.pairing
-        if solved.pairing > 2:
+        assert [Fraction(sum(map(operator.mul, row, a)), delta) for row in data.adj] == solved.d(a)
+        assert Fraction(scaled, delta) == solved.pairing(a)
+        if scaled > 2 * delta:
             assert cls is None
         else:
             assert cls == D.classify_incidence(g, a)
@@ -374,34 +364,37 @@ def test_sweep_plan_cache_stays_bounded():
 
 
 @pytest.mark.parametrize("g", [chain([2, 3, 2, 4]), star(2, ((2,), (3,), (2, 2)))])
-def test_sweep_scaled_and_classes_match_the_direct_functions(g):
+def test_sweep_scaled_and_classes_match_the_direct_functions(g, dense):
     delta = D._require_usable(g).delta
+    solved = dense(g)
     rows = list(D.incidence_sweep(g, 4))
     assert len(rows) == math.comb(4 + len(g.vertices), 4) - 1
     for a, scaled, cls in rows:
-        assert scaled == D.pair_coefficients(g, a).pairing * delta
+        assert scaled == solved.pairing(a) * delta
         assert cls == (D.classify_incidence(g, a) if scaled <= 2 * delta else None)
 
 
-def _per_vector_displays(g, max_a):
+def _per_vector_displays(g, max_a, dense):
     """(cases, mismatches) as a sweep summing over every vector counts them:
     the support vertices of one point of any multiplicity or of two points
-    of multiplicity one, each display against delta*f from the solver.  The
-    display is looked up on the module, so a monkeypatched one is counted."""
+    of multiplicity one, each display against delta*f from the dense solver.
+    The display is looked up on the module, so a monkeypatched one is
+    counted."""
     data = D._require_usable(g)
+    solved = dense(g)
     cases = mismatches = 0
     for a in itertools.product(range(max_a + 1), repeat=len(g.vertices)):
         support = [i for i, x in enumerate(a) if x]
         if not support or sum(a) > max_a or not (len(support) == 1 or sum(a) == 2):
             continue
-        f = D.pair_coefficients(g, a).f
+        f = solved.f(a)
         for v in support:
             cases += 1
             mismatches += D._display_scaled(data.shape, a, support, v) != data.delta * f[v]
     return cases, mismatches
 
 
-def test_closed_form_check_matches_the_per_vector_sum_on_the_benchmark_sample(monkeypatch):
+def test_closed_form_check_matches_the_per_vector_sum_on_the_benchmark_sample(monkeypatch, dense):
     for name in ("refs", "workloads"):  # workloads imports refs
         spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
@@ -416,11 +409,11 @@ def test_closed_form_check_matches_the_per_vector_sum_on_the_benchmark_sample(mo
     assert len(sample) == 174
     for g in sample:
         assert D.closed_form_check(g, workloads.SWEEP_MAX_A) == _per_vector_displays(
-            g, workloads.SWEEP_MAX_A
+            g, workloads.SWEEP_MAX_A, dense
         )
 
 
-def test_closed_form_check_counts_disagreeing_displays(monkeypatch):
+def test_closed_form_check_counts_disagreeing_displays(monkeypatch, dense):
     display = D._display_scaled
     # a display that is off by one wherever the vertex has multiplicity 2
     monkeypatch.setattr(
@@ -429,4 +422,4 @@ def test_closed_form_check_counts_disagreeing_displays(monkeypatch):
     for g in (chain([2, 5, 3]), star(3, ((2,), (3,), (2, 4)))):
         cases, mismatches = D.closed_form_check(g, 3)
         assert mismatches == len(g.vertices) > 0
-        assert (cases, mismatches) == _per_vector_displays(g, 3)
+        assert (cases, mismatches) == _per_vector_displays(g, 3, dense)

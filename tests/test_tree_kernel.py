@@ -65,14 +65,16 @@ def test_tree_kernel_matches_dense_linear_algebra(g):
             graph_determinant(g)
         return
     assert graph_determinant(g) == abs(linalg.int_det(m))
-    data = D._require_usable(g)
-    delta, adj, e, kappa = data.delta, data.adj, data.e, data.kappa
+    delta, adj_kappa = D.scaled_discrepancies(g)
+    adj = D._require_usable(g).adj
     assert delta == graph_determinant(g)
     for i in range(n):
         for j in range(n):
             entry = sum(adj[i][k] * -m[k][j] for k in range(n))
             assert entry == (delta if i == j else 0)
-    assert list(e) == linalg.solve(m, [-k for k in kappa])
+    e = linalg.solve(m, [2 - w for w in g.weights])
+    assert list(D.discrepancies(g)) == e
+    assert list(adj_kappa) == [delta * x for x in e]
 
 
 def _path(g, u, v):
@@ -118,7 +120,26 @@ def test_product_formula_adjugate_matches_dense_linear_algebra(g, data):
     assert rec.adj[u][v] == linalg.int_det([[minus_m[i][k] for k in keep] for i in keep])
     assert list(rec.adj_kappa) == [delta * x for x in linalg.solve(m, [-k for k in rec.kappa])]
     a = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    assert list(D.pair_coefficients(g, a).d) == linalg.solve(m, [-x for x in a])
+    assert D._adj_times(rec.shape, a) == [delta * x for x in linalg.solve(m, [-x for x in a])]
+
+
+@given(trees(), st.lists(st.integers(0, 3), min_size=1, max_size=40))
+@example(chain([2, 3, 4]), [1, 0, 1])  # AlmostLC_c at pairing exactly 2
+@example(star(2, [[2], [3], [5]]), [0, 0, 0, 1])  # a branch end, lct 1/6
+@settings(max_examples=40, deadline=None)
+def test_integer_lct_and_scaled_pairing_match_dense_linear_algebra(g, a):
+    # lct = min (1 - e_i)/d_i over d_i > 0 and delta*<a, b>, b = d + e, from
+    # two dense solves, against the integer path
+    assume(is_negative_definite(g))
+    n = len(g.weights)
+    a = (a + [0] * n)[:n]
+    assume(any(a))
+    m = intersection_matrix(g)
+    e = linalg.solve(m, [2 - w for w in g.weights])
+    d = linalg.solve(m, [-x for x in a])
+    assert D.lct_min_resolution(g, a) == min((1 - ei) / di for di, ei in zip(d, e) if di > 0)
+    pairing = sum(x * (di + ei) for x, di, ei in zip(a, d, e))
+    assert D.classify_incidence(g, a).scaled == graph_determinant(g) * pairing
 
 
 def test_adjugate_entries_match_the_unit_vector_products():
@@ -194,7 +215,7 @@ def test_group_5_raises_on_an_indefinite_graph(monkeypatch):
         verify._incidence_checks()
 
 
-def test_group_5_counts_each_unit_increment_once_and_none_shrinks_the_pairing(monkeypatch):
+def test_group_5_counts_each_unit_increment_once_and_none_shrinks_the_pairing(monkeypatch, dense):
     sample = [chain([2]), chain([3, 2, 5]), star(2, ((2,), (2,), (3, 2)))]
     monkeypatch.setattr(verify, "_sweep_graphs", lambda: iter(sample))
     counted = verify._incidence_checks()["incidence-monotonicity"]
@@ -204,12 +225,13 @@ def test_group_5_counts_each_unit_increment_once_and_none_shrinks_the_pairing(mo
     cases = violations = 0
     for g in sample:
         n = len(g.vertices)
+        pairing = dense(g).pairing
         for a in itertools.product(range(4), repeat=n):
             if 0 < sum(a) <= 3:
                 for j in range(n):
                     up = tuple(x + (i == j) for i, x in enumerate(a))
                     cases += 1
-                    violations += D.pair_coefficients(g, up).pairing < D.pair_coefficients(g, a).pairing
+                    violations += pairing(up) < pairing(a)
     assert (cases, violations) == (expected, 0)
 
 
@@ -238,7 +260,7 @@ negative_row = lambda shape, n: [[-1] * n] + adjugate(shape, n)[1:]
 cases = {
     "e nonnegative": (D, "_adj_times", lambda shape, x: [-1] * len(x),
                       lambda g: D.discrepancies(g)),
-    "d nonnegative": (D, "_adj_times", negative_d, lambda g: D.pair_coefficients(g, (1, 0))),
+    "d nonnegative": (D, "_adj_times", negative_d, lambda g: D.lct_min_resolution(g, (1, 0))),
     "sweep d nonnegative": (D, "_adjugate", negative_row, lambda g: list(D.incidence_sweep(g, 1))),
 }
 fired = {}
