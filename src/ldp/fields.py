@@ -1,18 +1,18 @@
-"""Coefficient fields: the rationals, prime fields, and quadratic extensions.
+"""Coefficient fields: the rationals, prime fields, and simple extensions.
 
 A field object exposes zero/one, coerce, characteristic, and produces
 elements supporting +, -, *, /, ==.  Arithmetic lifts ints into the field,
 but an element equals only elements of its own field, so equal elements hash
-alike.  Quadratic extensions adjoin a root theta of x^2 + c1 x + c0 and
-divide via the conjugate.
+alike.  A simple extension base[x]/(m) adjoins a root theta of a monic m:
+its elements are coefficient tuples reduced mod m by the dense long division
+that `poly` uses too, and they are inverted by the extended Euclidean
+algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .graphs import InvariantError
 
 
 def is_prime(n):
@@ -173,21 +173,38 @@ class PrimeField:
         return f"FF({self.p})"
 
 
-@dataclass(frozen=True)
-class QuadElement:
-    """u + v*theta in base(theta), theta^2 = -c1*theta - c0."""
+def _dense_divmod(a, b):
+    """Long division of dense coefficient lists (lowest degree first, b's
+    last entry nonzero): the quotient, and the remainder without trailing
+    zeros."""
+    r, q, lc, db = list(a), [], b[-1], len(b) - 1
+    while len(r) > db:
+        c = r.pop() / lc
+        q.append(c)
+        if c:
+            for k in range(db):
+                r[len(r) - db + k] -= c * b[k]
+    while r and not r[-1]:
+        r.pop()
+    return q[::-1], r
 
-    field: "QuadraticExtension"
-    u: object
-    v: object
+
+class ZeroDivisorError(ZeroDivisionError):
+    """Division by a nonzero zero divisor of a simple extension.  The args
+    are (gcd, cofactor): the monic gcd of the modulus and the divisor, and
+    the modulus divided by it, as coefficient tuples lowest degree first."""
+
+
+@dataclass(frozen=True)
+class SimpleElement:
+    """sum(coeffs[k] * theta^k) in base[theta]/(modulus), k < degree."""
+
+    field: "SimpleExtension"
+    coeffs: tuple
 
     def _lift(self, other):
-        if isinstance(other, QuadElement):
-            if other.field != self.field:
-                raise TypeError("elements of different extensions")
-            return other
         try:
-            return QuadElement(self.field, self.field.base.coerce(other), self.field.base.zero)
+            return self.field.coerce(other)
         except TypeError:
             return None
 
@@ -195,12 +212,12 @@ class QuadElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadElement(self.field, self.u + o.u, self.v + o.v)
+        return SimpleElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElement(self.field, -self.u, -self.v)
+        return SimpleElement(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -215,33 +232,45 @@ class QuadElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        c1, c0 = self.field.c1, self.field.c0
-        # (u1 + v1 t)(u2 + v2 t) with t^2 = -c1 t - c0
-        u = self.u * o.u - c0 * (self.v * o.v)
-        v = self.u * o.v + self.v * o.u - c1 * (self.v * o.v)
-        return QuadElement(self.field, u, v)
+        a, b = self.coeffs, o.coeffs
+        product = [self.field.base.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    product[i + j] += x * y
+        return self.field._reduce(product)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        # theta-bar = -c1 - theta
-        return QuadElement(self.field, self.u - self.field.c1 * self.v, -self.v)
+        """The image under theta -> theta-bar = -c1 - theta, the other root of
+        a quadratic modulus x^2 + c1 x + c0."""
+        u, v = self.coeffs
+        return SimpleElement(self.field, (u - self.field.modulus[1] * v, -v))
 
-    def norm(self):
-        n = self * self.conjugate()
-        if n.v:
-            raise InvariantError(f"norm of {self!r} is not in the base field")
-        return n.u
+    def _inverse(self):
+        """The inverse, by the extended Euclidean algorithm on the modulus
+        and self: each remainder r keeps r = s * self mod the modulus."""
+        if not self:
+            raise ZeroDivisionError(f"division by zero in {self.field!r}")
+        field = self.field
+        r0, r1 = list(field.modulus), list(self.coeffs)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = field.zero, field.one
+        while len(r1) > 1:
+            q, r = _dense_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - field._reduce(q) * s1
+        if not r1:
+            gcd = [c / r0[-1] for c in r0]
+            raise ZeroDivisorError(tuple(gcd), tuple(_dense_divmod(field.modulus, gcd)[0]))
+        return s1 * (field.base.one / r1[0])
 
     def __truediv__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        n = o.norm()
-        if not n:
-            raise ZeroDivisionError("division by zero in quadratic extension")
-        num = self * o.conjugate()
-        return QuadElement(self.field, num.u / n, num.v / n)
+        return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = self._lift(other)
@@ -262,62 +291,60 @@ class QuadElement:
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, QuadElement):
+        if not isinstance(other, SimpleElement):
             return NotImplemented
-        return self.field == other.field and self.u == other.u and self.v == other.v
+        return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.u, self.v))
+        return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self.u) or bool(self.v)
+        return any(self.coeffs)
 
     def __repr__(self):
-        name = self.field.name
-        if not self.v:
-            return repr(self.u)
-        return f"({self.u} + {self.v}*{name})"
+        if not any(self.coeffs[1:]):
+            return repr(self.coeffs[0])
+        terms = (f"{c}*{self.field.name}^{k}" if k else str(c) for k, c in enumerate(self.coeffs))
+        return "(" + " + ".join(terms) + ")"
 
 
-class QuadraticExtension:
-    """base[x]/(x^2 + c1 x + c0); irreducibility is the caller's business."""
+class SimpleExtension:
+    """base[x]/(modulus), the modulus monic and given by its coefficients in
+    base, lowest degree first.  It need not be irreducible: the ring is then
+    a product of fields, and dividing by an element that vanishes in some of
+    them raises `ZeroDivisorError` with the split of the modulus it found
+    (dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL '85)."""
 
-    def __init__(self, base, c1, c0, name="theta"):
+    def __init__(self, base, modulus, name="theta"):
         self.base = base
-        self.c1 = base.coerce(c1)
-        self.c0 = base.coerce(c0)
+        self.modulus = tuple(base.coerce(c) for c in modulus)
+        self.degree = len(self.modulus) - 1
         self.name = name
         self.characteristic = base.characteristic
+        self.zero = self._reduce([])
+        self.one = self._reduce([base.one])
+        self.generator = self._reduce([base.zero, base.one])
 
-    @property
-    def generator(self):
-        return QuadElement(self, self.base.zero, self.base.one)
+    def _reduce(self, coeffs):
+        """The element with these base coefficients, lowest degree first."""
+        r = _dense_divmod(coeffs, self.modulus)[1]
+        return SimpleElement(self, tuple(r) + (self.base.zero,) * (self.degree - len(r)))
 
     def coerce(self, x):
-        if isinstance(x, QuadElement):
+        if isinstance(x, SimpleElement):
             if x.field != self:
                 raise TypeError("element of a different extension")
             return x
-        return QuadElement(self, self.base.coerce(x), self.base.zero)
-
-    @property
-    def zero(self):
-        return QuadElement(self, self.base.zero, self.base.zero)
-
-    @property
-    def one(self):
-        return QuadElement(self, self.base.one, self.base.zero)
+        return SimpleElement(self, (self.base.coerce(x),) + (self.base.zero,) * (self.degree - 1))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticExtension)
-            and other.base == self.base
-            and other.c1 == self.c1
-            and other.c0 == self.c0
+        return isinstance(other, SimpleExtension) and (other.base, other.modulus) == (
+            self.base, self.modulus
         )
 
     def __hash__(self):
-        return hash(("quad", self.base, self.c1, self.c0))
+        return hash(("ext", self.base, self.modulus))
 
     def __repr__(self):
-        return f"{self.base}[{self.name}]/(x^2 + {self.c1} x + {self.c0})"
+        modulus = " + ".join(f"{c} x^{k}" for k, c in enumerate(self.modulus))
+        return f"{self.base}[{self.name}]/({modulus})"

@@ -8,6 +8,8 @@ system, one affine chart at a time, and goes through one elimination core:
 `_eliminate` drops variables by pairwise resultants, and `_common_factor`
 folds a gcd over the eliminants.  The singular locus, the singular point of
 a member and the smoothness of the weighted members are all built on it.
+The values a smoothness screen leaves are decided together, on one fibre
+over the simple extension their squarefree part defines.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ, PrimeField, QuadraticExtension, QuadElement
+from .fields import QQ, PrimeField, SimpleElement, SimpleExtension, ZeroDivisorError
 from .graphs import InvariantError
 from .poly import (
     ExactPolynomial as Poly,
+    _dense,
     binary_gcd,
     binary_squarefree,
-    poly_divmod,
     poly_gcd,
     resultant,
     squarefree_part,
@@ -45,10 +47,6 @@ class NotSingularMemberError(ValueError):
 
 class MultipleSingularPointsError(ValueError):
     pass
-
-
-class ResidualDegreeError(ValueError):
-    """Candidate values with a factor of degree > 2 that has no root in F_p."""
 
 
 def _check_char(field, banned):
@@ -177,8 +175,8 @@ class SingularMemberReport:
 
 def _as_field_pair(field, param):
     sv, tv = param
-    if isinstance(sv, QuadElement) or isinstance(tv, QuadElement):
-        work = sv.field if isinstance(sv, QuadElement) else tv.field
+    if isinstance(sv, SimpleElement) or isinstance(tv, SimpleElement):
+        work = sv.field if isinstance(sv, SimpleElement) else tv.field
         if work.base != field:
             raise TypeError("extension does not sit over the given field")
     else:
@@ -260,7 +258,7 @@ def _node_or_cusp(member, point, work):
 def singular_parameter_field():
     """QQ(theta) with theta a root of x^2 + 11x - 1, the irrational
     parameters of the singular members."""
-    return QuadraticExtension(QQ, 11, -1, name="theta")
+    return SimpleExtension(QQ, (-1, 11, 1), name="theta")
 
 
 def cross_ratio_minimal_polynomials():
@@ -284,14 +282,19 @@ def cross_ratio_minimal_polynomials():
         num = bracket(p4, p1) * bracket(p2, p3)
         den = bracket(p4, p3) * bracket(p2, p1)
         alpha = num / den
-        u, v = alpha.u, alpha.v
-        if not v:
-            continue
-        # x = u + v theta and its conjugate: sum 2u - 11v, product u^2 - 11uv - v^2
-        trace = 2 * u - 11 * v
-        norm = u * u - 11 * u * v - v * v
-        quadratics.add(_normalize_quadratic(Fraction(1), -trace, norm))
+        if alpha.coeffs[1]:
+            quadratics.add(_normalize_quadratic(Fraction(1), *_rational_trace_norm(alpha)))
     return sorted(quadratics)
+
+
+def _rational_trace_norm(alpha):
+    """-(alpha + alpha-bar) and alpha * alpha-bar, the coefficients of alpha's
+    minimal polynomial, checked to lie in the base field."""
+    conj = alpha.conjugate()
+    (trace, t), (norm, n) = (alpha + conj).coeffs, (alpha * conj).coeffs
+    if t or n:
+        raise InvariantError(f"trace or norm of {alpha!r} is not in the base field")
+    return -trace, norm
 
 
 def _normalize_quadratic(a, b, c):
@@ -429,38 +432,22 @@ def _affine_chart_smooth(G, unit_var, coord):
     if g is None:
         return False
     # the values of free that survive the resultant screen are only
-    # candidates: each one is refuted on its fibre, over the field holding it
-    for K, value in _candidate_values(g, free):
-        fibre = [e.map_field(K).substitute({free: value}) for e in eqs]
-        common = _common_factor(fibre, functools.partial(poly_gcd, var=coord))
+    # candidates, refuted at once on the fibre over F_p[free]/(their
+    # squarefree part); a gcd that meets a zero divisor splits the modulus,
+    # and each part gets its own fibre.  Monic equations keep their degree on
+    # every part
+    moduli = [_dense(squarefree_part(g, free), free)] if g.degree() > 0 else []
+    while moduli:
+        K = SimpleExtension(g.field, moduli.pop())
+        try:
+            fibre = [f.monic() for e in eqs if (f := e.map_field(K).substitute({free: K.generator}))]
+            common = _common_factor(fibre, functools.partial(poly_gcd, var=coord))
+        except ZeroDivisorError as split:
+            moduli.extend(split.args)
+            continue
         if common is None or common.degree() > 0:
             return False
     return True
-
-
-def _candidate_values(g, var):
-    """The roots of g in F_p and then, for a residual factor of degree 2,
-    its root in the quadratic extension it defines, as (field, root) pairs.
-    Higher residual degrees do not occur for the curves modeled here."""
-    field = g.field
-    residual = squarefree_part(g, var)
-    x = Poly.variable(field, g.vars, var, g.weights)
-    for r in range(field.characteristic):
-        q, rem = poly_divmod(residual, x - r, var)
-        if not rem:
-            residual = q
-            yield field, field.coerce(r)
-    d = residual.degree(var)
-    if d == 2:
-        # residual is monic: var^2 + c1 var + c0
-        c1, c0 = (residual.coefficient(var, k).evaluate({}) for k in (1, 0))
-        K = QuadraticExtension(field, c1, c0)
-        yield K, K.generator
-    elif d > 2:
-        raise ResidualDegreeError(
-            f"candidate values of {var} leave a factor of degree {d} without roots "
-            f"in {field}; only degree 2 is handled"
-        )
 
 
 def _plane_sextic_smooth(G):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .fields import QQ, FpElement, PrimeField
+from .fields import QQ, FpElement, PrimeField, _dense_divmod
 from .graphs import InvariantError
 
 
@@ -379,22 +379,6 @@ def _sparse(f, coeffs, var):
     """The polynomial of f's ring with these coefficients of var^0, var^1, ..."""
     base, i = (0,) * len(f.vars), f.vars.index(var)
     return f._new({base[:i] + (k,) + base[i + 1 :]: c for k, c in enumerate(coeffs) if c})
-
-
-def _dense_divmod(a, b):
-    """Long division of dense coefficient lists (lowest degree first, b's
-    last entry nonzero): the quotient, and the remainder without trailing
-    zeros."""
-    r, q, lc, db = list(a), [], b[-1], len(b) - 1
-    while len(r) > db:
-        c = r.pop() / lc
-        q.append(c)
-        if c:
-            for k in range(db):
-                r[len(r) - db + k] -= c * b[k]
-    while r and not r[-1]:
-        r.pop()
-    return q[::-1], r
 
 
 def poly_divmod(f, g, var):

@@ -45,3 +45,12 @@ def test_verify_paper_documents_that_differ_only_in_seconds_digest_alike(monkeyp
     assert tool.digest([first]) == tool.digest([second])
     # a check that fails is another document
     assert tool.digest([first]) != tool.digest([document(0.25, actual="1")])
+
+
+def test_the_pencil_battery_holds_results_and_errors():
+    tool = _load_tool()
+    argvs = tool.pencil_argvs()
+    assert ["crossratio"] in argvs and ["weighted-model"] in argvs
+    codes = Counter(tool.run(argv)[1] for argv in argvs)
+    # --char 2, 3, 4 and past the bound exit 2; every other line exits 0
+    assert codes == {0: len(argvs) - 4, 2: 4}

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ldp import pencil, verify
+from ldp import fields, pencil, verify
 from ldp.fields import QQ, PrimeField
 from ldp.pencil import (
     CUSP,
@@ -290,7 +290,8 @@ def test_weighted_member_degree_validation():
 #
 # Both modeled members leave the resultant screen at a constant, so these
 # sextics over F_5 exercise what the members never reach: candidate values
-# that must be confirmed or refuted on their fibres, over F_5 and over F_25.
+# that must be confirmed or refuted on their fibres, over F_5[t]/(m) with m
+# the candidates' squarefree part, split where a zero divisor turns up.
 
 S_T_X = sympy.symbols("s t x")
 
@@ -305,6 +306,22 @@ SEXTIC_EXTENSION_POINT = (
 SEXTIC_CUBIC_RESIDUAL = (
     "4*s**5*t + 3*s**4*t**2 + 3*s**3*t**3 + 4*s**2*t**4 + 3*s**2*t**2*x + s**2*x**2"
     " + 4*s*t**3*x + 4*t**6 + 2*t**4*x + 2*t**2*x**2 + 2*x**3"
+)
+# its candidate values of t form two irreducible quadratics over F_5
+SEXTIC_TWO_QUADRATICS = (
+    "s**5*t + s**4*t**2 + 4*s**4*x + 3*s**3*t**3 + 4*s**3*t*x + 3*s**2*t**4"
+    " + 3*s**2*t**2*x + 2*s**2*x**2 + s*t**3*x + t**6 + 3*t**4*x + t**2*x**2 + x**3"
+)
+# a gcd on the fibre meets a zero divisor, so the modulus splits
+SEXTIC_SPLIT_MODULUS = (
+    "3*s**4*t**2 + 2*s**4*x + 4*s**3*t**3 + 3*s**3*t*x + s**2*t**4 + 4*s**2*t**2*x"
+    " + s**2*x**2 + 2*s*t**5 + 2*s*t**3*x + 2*s*t*x**2 + 2*t**6 + 4*t**4*x"
+    " + 2*t**2*x**2 + 4*x**3"
+)
+# smooth: every candidate value is refuted on its fibre
+SEXTIC_ALL_REFUTED = (
+    "4*s**4*t**2 + 2*s**4*x + 4*s**3*t*x + s**2*t**4 + 4*s**2*t**2*x + 3*s**2*x**2"
+    " + 2*s*t**3*x + 4*s*t*x**2 + 3*t**6 + t**4*x + 4*t**2*x**2 + 3*x**3"
 )
 
 
@@ -361,32 +378,60 @@ def _singular_points(text):
     return found
 
 
-def _no_extension_fields(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("built an extension field")
+def _groebner_smooth(text):
+    """The oracle: no common zero of the sextic and its partials over the
+    closure of F_5, by a sympy Groebner basis in each of the charts s = 1
+    and t = 1, and by evaluation at [0:0:1], the one point they miss."""
+    s, t, x = S_T_X
+    expr = sympy.sympify(text)
+    eqs = [expr] + [sympy.diff(expr, v) for v in S_T_X]
+    for chart, gens in (({s: 1}, (t, x)), ({t: 1}, (s, x))):
+        system = [e for e in (sympy.expand(e.subs(chart)) for e in eqs) if e != 0]
+        if list(sympy.groebner(system, *gens, modulus=5).exprs) != [1]:
+            return False
+    return any(int(e.subs({s: 0, t: 0, x: 1})) % 5 for e in eqs)
 
-    monkeypatch.setattr(pencil, "QuadraticExtension", refuse)
+
+@pytest.mark.parametrize(
+    "text, smooth, splits",
+    [
+        (SEXTIC_PRIME_FIELD_POINT, False, 0),
+        (SEXTIC_EXTENSION_POINT, False, 0),
+        (SEXTIC_CUBIC_RESIDUAL, False, 0),
+        (SEXTIC_TWO_QUADRATICS, False, 0),
+        (SEXTIC_SPLIT_MODULUS, False, 1),
+        (SEXTIC_ALL_REFUTED, True, 0),
+    ],
+    ids=["prime-field-point", "extension-point", "cubic-residual", "two-quadratics",
+         "split-modulus", "all-refuted"],
+)
+def test_sextic_verdict_matches_groebner(monkeypatch, text, smooth, splits):
+    built, raised = [], []
+
+    def extension(*args):
+        built.append(args)
+        return fields.SimpleExtension(*args)
+
+    class CountedSplit(fields.ZeroDivisorError):
+        def __init__(self, *factors):
+            raised.append(factors)
+            super().__init__(*factors)
+
+    monkeypatch.setattr(pencil, "SimpleExtension", extension)
+    monkeypatch.setattr(fields, "ZeroDivisorError", CountedSplit)
+    assert _groebner_smooth(text) is smooth
+    assert pencil._plane_sextic_smooth(_sextic(text)) is smooth
+    # the screen left candidates, and they were decided on fibres
+    assert built and len(raised) == splits
 
 
-def test_sextic_singular_at_a_prime_field_point(monkeypatch):
+def test_sextic_singular_at_a_prime_field_point():
     assert ((1, 0), (1, 0), (0, 0)) in _singular_points(SEXTIC_PRIME_FIELD_POINT)
-    # decided on an F_5 fibre, before any extension field is built
-    _no_extension_fields(monkeypatch)
     assert pencil._plane_sextic_smooth(_sextic(SEXTIC_PRIME_FIELD_POINT)) is False
 
 
-def test_sextic_singular_only_over_the_quadratic_extension(monkeypatch):
+def test_sextic_singular_only_over_the_quadratic_extension():
     points = _singular_points(SEXTIC_EXTENSION_POINT)
     assert ((1, 0), (1, 1), (4, 1)) in points
     assert all(any(b for _, b in point) for point in points)  # none over F_5
-    G = _sextic(SEXTIC_EXTENSION_POINT)
-    assert pencil._plane_sextic_smooth(G) is False
-    # every F_5 fibre is clean: only the extension fibre finds the point
-    _no_extension_fields(monkeypatch)
-    with pytest.raises(AssertionError, match="extension field"):
-        pencil._plane_sextic_smooth(G)
-
-
-def test_sextic_with_a_cubic_residual_is_refused_by_name():
-    with pytest.raises(pencil.ResidualDegreeError, match="degree 3"):
-        pencil._plane_sextic_smooth(_sextic(SEXTIC_CUBIC_RESIDUAL))
+    assert pencil._plane_sextic_smooth(_sextic(SEXTIC_EXTENSION_POINT)) is False

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from ldp.fields import QQ, PrimeField, QuadraticExtension
+from ldp.fields import QQ, PrimeField, SimpleExtension, ZeroDivisorError
 from ldp.poly import (
     ExactPolynomial as Poly,
     binary_gcd,
@@ -46,45 +46,52 @@ def test_fraction_coercion_mod_p():
     assert F.coerce(Fraction(1, 2)).val == 3
 
 
+F125 = SimpleExtension(PrimeField(5), (1, 1, 0, 1))  # x^3 + x + 1 has no root mod 5
+
+
 def test_quadratic_extension_norm():
-    ext = QuadraticExtension(QQ, 11, -1, name="r")
+    ext = SimpleExtension(QQ, (-1, 11, 1), name="r")
     r = ext.generator
     assert r * r == -11 * r + 1
     assert r * r.conjugate() == ext.coerce(-1)
+    assert r + r.conjugate() == ext.coerce(-11)
     assert (r / r) == ext.one
 
 
 def test_field_elements_equal_only_their_own_field_and_hash_alike():
     F5, F7 = PrimeField(5), PrimeField(7)
-    K = QuadraticExtension(QQ, 11, -1)
-    L = QuadraticExtension(F5, 0, -2)  # 𝔽₅(√2)
-    M = QuadraticExtension(F5, 0, -3)  # 𝔽₅(√3)
+    K = SimpleExtension(QQ, (-1, 11, 1))
+    L = SimpleExtension(F5, (-2, 0, 1))  # 𝔽₅(√2)
+    M = SimpleExtension(F5, (-3, 0, 1))  # 𝔽₅(√3)
     values = [0, 1, 2, 5, 12, Fraction(1, 2), Fraction(5)]
     values += [F.coerce(c) for F in (F5, F7) for c in (0, 1, 2, 5, 12)]
-    values += [E.coerce(c) for E in (K, L, M) for c in (0, 1, 2, Fraction(1, 2))]
-    values += [K.generator, L.generator, M.generator]
+    values += [E.coerce(c) for E in (K, L, M, F125) for c in (0, 1, 2, Fraction(1, 2))]
+    values += [K.generator, L.generator, M.generator, F125.generator, F125.generator**2]
     for x in values:
         for y in values:
             if x == y:
                 assert hash(x) == hash(y), (x, y)
     assert F5.one != 1 and 1 not in {F5.one}
     assert F5.coerce(12) == F5.coerce(2) and F7.coerce(12) != F5.coerce(2)
-    assert K.one != 1 and L.one != F5.one and L.one != M.one
+    assert K.one != 1 and L.one != F5.one and L.one != M.one and F125.one != L.one
     # arithmetic still lifts ints into the field; a comparison needs coerce
     assert F5.one + 1 == F5.coerce(2) and 7 - F5.one == F5.coerce(1)
     assert L.generator**2 != 2 and L.generator**2 == L.coerce(2)
     assert K.generator * K.generator == -11 * K.generator + 1
+    assert F125.generator**3 == -F125.generator - 1 and F125.generator**124 == F125.one
 
 
 def test_field_division_is_total_over_the_operands_the_other_operators_lift():
     F5 = PrimeField(5)
-    K = QuadraticExtension(QQ, 11, -1)
-    L = QuadraticExtension(F5, 0, -2)  # 𝔽₅(√2)
+    K = SimpleExtension(QQ, (-1, 11, 1))
+    L = SimpleExtension(F5, (-2, 0, 1))  # 𝔽₅(√2)
     # the reflected quotient lifts an int or a base element as - does
     assert 3 / F5.coerce(2) == F5.coerce(3) / 2 == F5.coerce(4)
     assert 1 / L.generator == L.one / L.generator == L.generator / 2
     assert F5.one / L.generator == 1 / L.generator and F5.one - L.generator == 1 - L.generator
     assert 1 / K.generator == K.one / K.generator == K.generator + 11
+    x = F125.generator
+    assert 1 / x == F125.one / x == F5.one / x == -(x**2 + 1)
     # an operand no operator lifts is refused by / as by +
     half = Fraction(1, 2)
     with pytest.raises(TypeError, match=r"for \+: 'FpElement' and 'Fraction'"):
@@ -92,10 +99,30 @@ def test_field_division_is_total_over_the_operands_the_other_operators_lift():
     with pytest.raises(TypeError, match="for /: 'FpElement' and 'Fraction'"):
         F5.one / half
     # zero has no inverse, by / or by a negative power
-    for zero, one in ((F5.zero, F5.one), (L.zero, L.one)):
+    for zero, one in ((F5.zero, F5.one), (L.zero, L.one), (F125.zero, F125.one)):
         for quotient in (lambda: zero**-1, lambda: 1 / zero, lambda: one / zero):
             with pytest.raises(ZeroDivisionError):
                 quotient()
+
+
+def test_division_by_a_zero_divisor_splits_the_modulus():
+    F5 = PrimeField(5)
+    # (x^2 + 2)(x^2 + 3) = x^4 + 1 over F_5, both factors irreducible
+    R = SimpleExtension(F5, (1, 0, 0, 0, 1))
+    theta = R.generator
+    assert 1 / theta == -theta**3  # a unit still has its inverse
+    with pytest.raises(ZeroDivisorError) as split:
+        R.one / (theta**2 + 2)
+    assert isinstance(split.value, ZeroDivisionError)
+    gcd, cofactor = split.value.args
+    assert gcd == tuple(map(F5.coerce, (2, 0, 1))) and cofactor == tuple(map(F5.coerce, (3, 0, 1)))
+    x = Poly.variable(F5, ("x",), "x")
+    factors = [sum((c * x**k for k, c in enumerate(f)), x * 0) for f in (gcd, cofactor, R.modulus)]
+    assert factors[0] * factors[1] == factors[2]
+    # zero is no zero divisor to split by: it raises the plain error
+    with pytest.raises(ZeroDivisionError) as zero:
+        R.one / R.zero
+    assert type(zero.value) is ZeroDivisionError
 
 
 def _to_sympy(p, symbols):
@@ -326,13 +353,15 @@ def _sylvester_det(f, g, var):
     return _ring_det(rows, Poly.constant(f.field, f.vars, 1))
 
 
-F5_SQRT2 = QuadraticExtension(PrimeField(5), 0, -2)  # theta^2 = 2, a non-square mod 5
-RESULTANT_FIELDS = (QQ, PrimeField(5), PrimeField(7), QuadraticExtension(QQ, 11, -1), F5_SQRT2)
+F5_SQRT2 = SimpleExtension(PrimeField(5), (-2, 0, 1))  # theta^2 = 2, a non-square mod 5
+RESULTANT_FIELDS = (
+    QQ, PrimeField(5), PrimeField(7), SimpleExtension(QQ, (-1, 11, 1)), F5_SQRT2, F125
+)
 
 
 def _element(field, a, b, d):
     """a/d + b*theta in an extension, a/d in QQ; over F_p only a and b."""
-    extension = isinstance(field, QuadraticExtension)
+    extension = isinstance(field, SimpleExtension)
     u = Fraction(a, d) if (field.base if extension else field) == QQ else a
     return field.coerce(u) + field.generator * b if extension else u
 
@@ -430,7 +459,7 @@ def test_dense_division_edge_cases():
 
 
 def test_powers_by_squaring_match_repeated_products():
-    K = QuadraticExtension(QQ, 11, -1)
+    K = SimpleExtension(QQ, (-1, 11, 1))
     r = K.generator + 2
     x, y = Poly.gens(PrimeField(7), ("x", "y"))
     f = x + 3 * y + 1
@@ -479,7 +508,7 @@ def test_poly_to_json_writes_coefficients_as_strings():
 _BROKEN_INVARIANTS = """
 import json, sys
 from ldp import pencil, poly
-from ldp.fields import QQ, PrimeField, QuadElement, QuadraticExtension
+from ldp.fields import QQ, PrimeField, SimpleElement
 from ldp.graphs import InvariantError
 
 F5 = PrimeField(5)
@@ -500,8 +529,9 @@ cases = {
     "poly: derivative in char 0": (Poly, "derivative", lambda self, var: Poly.zero(QQ, self.vars),
                                    lambda: poly.squarefree_part(s**2, "s")),
     "poly: binary form": (None, None, None, lambda: poly.binary_squarefree(s**2 + t, "s", "t")),
-    "fields: norm in the base field": (QuadElement, "conjugate", lambda self: self,
-                                       lambda: QuadraticExtension(QQ, 11, -1).generator.norm()),
+    "pencil: cross-ratio trace and norm in QQ": (
+        SimpleElement, "conjugate", lambda self: self,
+        lambda: pencil._rational_trace_norm(pencil.singular_parameter_field().generator)),
 }
 fired = {}
 for name, (owner, attr, fake, call) in cases.items():

@@ -18,7 +18,10 @@ The batteries:
 - lct: seeded `lct` command lines on small chains and stars;
 - table1: `table1` at its defaults and at its bounds;
 - table1-below: `table1` with a bound below the Table 1 families' range;
-- verify-paper: `verify-paper --json`, each `seconds` value masked.
+- verify-paper: `verify-paper --json`, each `seconds` value masked;
+- pencil: `pencil --char` at small characteristics, at and past its bound
+  and on the primes of the benchmark's `pencil_primes` workload, seeds 1-3,
+  then `crossratio` and `weighted-model`.
 
 The benchmark's item lists are read from `perfbench/` next to this tool,
 which is imported without writing a bytecode cache there.
@@ -169,6 +172,16 @@ def table1_below_argvs():
     ]
 
 
+def pencil_argvs():
+    import ldp
+
+    workloads = _workloads()
+    chars = (0, 2, 3, 4, 5, 7, 11, 13, 1000003, 1000004)
+    out = [["pencil", "--char", str(p)] for p in chars]
+    out += [item.label.split(" ") for seed in SEEDS for item in workloads.pencil_primes(ldp, seed)]
+    return out + [["crossratio"], ["weighted-model"]]
+
+
 BATTERIES = {
     "report-hunt": report_hunt_argvs,
     "large-graphs": large_graphs_argvs,
@@ -177,6 +190,7 @@ BATTERIES = {
     "table1": table1_argvs,
     "table1-below": table1_below_argvs,
     "verify-paper": lambda: [["verify-paper", "--json"]],
+    "pencil": pencil_argvs,
 }
 
 
