@@ -178,8 +178,10 @@ def _dense_divmod(a, b):
     last entry nonzero): the quotient, and the remainder without trailing
     zeros."""
     r, q, lc, db = list(a), [], b[-1], len(b) - 1
+    # Fraction(1) == 1 is the cheap test; an FpElement equals only its own one
+    monic = lc == 1 or lc == lc**0
     while len(r) > db:
-        c = r.pop() / lc
+        c = r.pop() if monic else r.pop() / lc
         q.append(c)
         if c:
             for k in range(db):

@@ -8,16 +8,18 @@ system, one affine chart at a time, and goes through one elimination core:
 `_eliminate` drops variables by pairwise resultants, and `_common_factor`
 folds a gcd over the eliminants.  The singular locus, the singular point of
 a member and the smoothness of the weighted members are all built on it.
-The values a smoothness screen leaves are decided together, on one fibre
-over the simple extension their squarefree part defines.
+Both weighted members are tested alike, as sextics in a weighted plane once
+the member has solved for one coordinate.  The values a smoothness screen
+leaves are decided together, on one fibre over the simple extension their
+squarefree part defines.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import QQ, PrimeField, SimpleElement, SimpleExtension, ZeroDivisorError
 from .graphs import InvariantError
@@ -58,11 +60,12 @@ def _check_char(field, banned):
 
 # -- the elimination core ---------------------------------------------------------
 
-# disjoint affine charts covering P^2: the fixed coordinates, then the free ones
+# disjoint affine charts covering P^2: the fixed coordinates, the first of
+# them the one set to 1 that dehomogenises the chart, then the free ones
 _CHARTS = (
     ({"Z": 1}, ("X", "Y")),
-    ({"Z": 0, "Y": 1}, ("X",)),
-    ({"Z": 0, "Y": 0, "X": 1}, ()),
+    ({"Y": 1, "Z": 0}, ("X",)),
+    ({"X": 1, "Y": 0, "Z": 0}, ()),
 )
 
 
@@ -202,47 +205,35 @@ def classify_singular_member(field, param):
     partials = [member.derivative(v) for v in ("X", "Y", "Z")]
     points = []
     for fixed, free in _CHARTS:
+        unit, *_ = fixed
         for zero in _find_points([g.substitute(fixed) for g in partials], free):
             coords = dict(fixed, **dict(zip(free, zero)))
-            points.append(tuple(work.coerce(coords[v]) for v in ("X", "Y", "Z")))
+            points.append((unit, {v: work.coerce(coords[v]) for v in ("X", "Y", "Z")}))
     if not points:
         raise NotSingularMemberError("no singular point found (unexpected)")
     if len(points) > 1:
         raise MultipleSingularPointsError(f"{len(points)} singular points")
-    point = points[0]
-    return SingularMemberReport((sv, tv), point, _node_or_cusp(member, point, work))
+    unit, coords = points[0]
+    affine = {v: c for v, c in coords.items() if v != unit}
+    kind = _node_or_cusp(member, unit, affine)
+    return SingularMemberReport((sv, tv), tuple(coords.values()), kind)
 
 
-def _node_or_cusp(member, point, work):
-    """Rank of the quadratic part of the expansion at the singular point:
-    a square (zero discriminant) means a cusp."""
-    x0, y0, z0 = point
-    # dehomogenize in a coordinate that is nonzero at the point
-    if z0:
-        chart, others = "Z", ("X", "Y")
-    elif y0:
-        chart, others = "Y", ("X", "Z")
-    else:
-        chart, others = "X", ("Y", "Z")
-    coords = dict(zip(("X", "Y", "Z"), (x0, y0, z0)))
-    scale = coords[chart]
-    u, v = others
-    u0, v0 = coords[u] / scale, coords[v] / scale
+def _node_or_cusp(member, unit, affine):
+    """Rank of the quadratic part of the expansion at the singular point,
+    given by its two coordinates affine in the chart unit = 1: a square
+    (zero discriminant) means a cusp."""
+    work = member.field
+    (u, u0), (v, v0) = affine.items()
     U = Poly.variable(work, PENCIL_VARS, u)
     V = Poly.variable(work, PENCIL_VARS, v)
-    local = member.substitute(
-        {
-            chart: Poly.constant(work, PENCIL_VARS, 1),
-            u: U + u0,
-            v: V + v0,
-        }
-    )
+    local = member.substitute({unit: 1, u: U + u0, v: V + v0})
     iu, iv = PENCIL_VARS.index(u), PENCIL_VARS.index(v)
     quad = {}
     for e, c in local.terms:
         d = e[iu] + e[iv]
         if d < 2:
-            raise InvariantError(f"{point} is not a singular point of the member")
+            raise InvariantError(f"{affine} is not a singular point of the member on {unit} = 1")
         if d == 2:
             quad[(e[iu], e[iv])] = c
     A = quad.get((2, 0), work.zero)
@@ -283,7 +274,7 @@ def cross_ratio_minimal_polynomials():
         den = bracket(p4, p3) * bracket(p2, p1)
         alpha = num / den
         if alpha.coeffs[1]:
-            quadratics.add(_normalize_quadratic(Fraction(1), *_rational_trace_norm(alpha)))
+            quadratics.add(_normalize_quadratic(*_rational_trace_norm(alpha)))
     return sorted(quadratics)
 
 
@@ -297,16 +288,11 @@ def _rational_trace_norm(alpha):
     return -trace, norm
 
 
-def _normalize_quadratic(a, b, c):
-    from math import gcd, lcm
-
-    den = lcm(a.denominator, lcm(b.denominator, c.denominator))
-    ai, bi, ci = (int(x * den) for x in (a, b, c))
-    g = gcd(ai, gcd(bi, ci))
-    ai, bi, ci = ai // g, bi // g, ci // g
-    if ai < 0:
-        ai, bi, ci = -ai, -bi, -ci
-    return (ai, bi, ci)
+def _normalize_quadratic(b, c):
+    """x^2 + bx + c times the least common denominator of b and c: integer
+    coefficients without common factor, the leading one positive."""
+    den = math.lcm(b.denominator, c.denominator)
+    return (den, int(b * den), int(c * den))
 
 
 def quadratic_discriminant(q):
@@ -369,20 +355,12 @@ class WeightedMemberReport:
     smooth: bool
 
 
-def _binary_form_squarefree(h, u, v):
-    if h.is_zero():
-        return False
-    return binary_squarefree(h, u, v).degree() == h.degree()
-
-
 def weighted_member_check(i):
     """Checks the three claims for the member of weighted degree i:
     correct grading, intersection with the t = 0 cuspidal curve only at
     [1:0:0:0], and smoothness of the cut-out curve."""
     F = weighted_surface_equation()
     D = weighted_member(i)
-    field = F.field
-    zero = Poly.zero(field, WEIGHTED_VARS, WEIGHTS)
 
     degree_ok = (
         D.is_weighted_homogeneous(i)
@@ -391,33 +369,22 @@ def weighted_member_check(i):
 
     # on t = 0 the member equation forces x = 0 (i = 2) or y = 0 (i = 3);
     # the surface equation must then pin the remaining coordinate to 0
-    forced = "x" if i == 2 else "y"
-    other = "y" if i == 2 else "x"
-    d0 = D.substitute({"t": zero})
-    x_gen = Poly.variable(field, WEIGHTED_VARS, forced, WEIGHTS)
-    f0 = F.substitute({"t": zero, forced: zero})
+    forced, other = ("x", "y") if i == 2 else ("y", "x")
+    forced_gen = Poly.variable(F.field, WEIGHTED_VARS, forced, WEIGHTS)
+    f0 = F.substitute({"t": 0, forced: 0})
     cusp_support_ok = (
-        d0 == x_gen
+        D.substitute({"t": 0}) == forced_gen
         and len(f0.terms) == 1
         and f0.degree(other) == f0.degree()
-        and not f0.substitute({other: zero})
+        and not f0.substitute({other: 0})
     )
 
-    if i == 2:
-        # x = t(s + 2t) turns the curve into a double cover y^2 = h(s, t)
-        sub = {"x": weighted_member(2).substitute({"x": zero}) * (-1)}
-        h = Poly.variable(field, WEIGHTED_VARS, "y", WEIGHTS) ** 2 - F.substitute(sub)
-        smooth = _binary_form_squarefree(h, "s", "t")
-    else:
-        # y = t(x + t^2 + st + 3s^2) turns the curve into a plane sextic in
-        # P(1, 1, 2); its weighted degree 6 is prime to 5, so the Euler
-        # relation makes the vanishing of all three partials the whole test
-        ysub = Poly.variable(field, WEIGHTED_VARS, "y", WEIGHTS) - weighted_member(3)
-        G = F.substitute({"y": ysub})
-        if G.degree("y") > 0:
-            raise InvariantError("the degree-3 member does not eliminate y")
-        smooth = _plane_sextic_smooth(G)
-    return WeightedMemberReport(i, degree_ok, cusp_support_ok, smooth)
+    # the member solves for the forced coordinate, which turns the curve into
+    # a sextic in the weighted plane on s, t and the other coordinate
+    G = F.substitute({forced: forced_gen - D})
+    if G.degree(forced) > 0:
+        raise InvariantError(f"the degree-{i} member does not eliminate {forced}")
+    return WeightedMemberReport(i, degree_ok, cusp_support_ok, _plane_sextic_smooth(G, other))
 
 
 def _affine_chart_smooth(G, unit_var, coord):
@@ -450,10 +417,13 @@ def _affine_chart_smooth(G, unit_var, coord):
     return True
 
 
-def _plane_sextic_smooth(G):
-    # charts s != 0 and t != 0 cover everything except [0:0:1]
+def _plane_sextic_smooth(G, coord):
+    """Smoothness of the sextic G in the weighted plane on s, t and coord.
+    Its weighted degree 6 is prime to 5, so the Euler relation makes the
+    vanishing of all three partials the whole test.  The charts s != 0 and
+    t != 0 cover everything except s = t = 0."""
     return (
-        _affine_chart_smooth(G, "s", "x")
-        and _affine_chart_smooth(G, "t", "x")
-        and bool(G.substitute({"s": 0, "t": 0, "x": 1}))
+        _affine_chart_smooth(G, "s", coord)
+        and _affine_chart_smooth(G, "t", coord)
+        and bool(G.substitute({"s": 0, "t": 0, coord: 1}))
     )

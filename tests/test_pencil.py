@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from ldp.pencil import (
     weighted_member_check,
     weighted_surface_equation,
 )
-from ldp.poly import ExactPolynomial as Poly
+from ldp.poly import ExactPolynomial as Poly, binary_squarefree
 
 
 # -- singular locus -----------------------------------------------------------
@@ -155,6 +156,29 @@ def test_charts_locate_an_affine_node():
         for fixed, free in pencil._CHARTS
     ]
     assert found == [[(1, 2)], [], []]
+
+
+# the F_11 member at [1:1] has a node and the F_5 member at [1:2] a cusp,
+# both at a point [x0:1:0]; a change of coordinates moves it into each chart
+@pytest.mark.parametrize("p, param, kind", [(11, (1, 1), NODE), (5, (1, 2), CUSP)],
+                         ids=["node", "cusp"])
+@pytest.mark.parametrize("chart", ["Z=1", "Z=0,Y=1", "[1:0:0]"])
+def test_singular_member_is_classified_in_each_chart(monkeypatch, p, param, kind, chart):
+    F = PrimeField(p)
+    x0, one, zero = classify_singular_member(F, param).point
+    assert (one, zero) == (F.one, F.zero)
+    s, t, X, Y, Z = Poly.gens(F, PENCIL_VARS)
+    # C'(v) = C(Av) is singular at the preimage under A of C's point
+    sub, point = {
+        "Z=1": ({"Y": Z, "Z": Y}, (x0, 0, 1)),
+        "Z=0,Y=1": ({}, (x0, 1, 0)),
+        "[1:0:0]": ({"X": X * x0 + Y, "Y": X}, (1, 0, 0)),
+    }[chart]
+    original = pencil.pencil_cubic
+    monkeypatch.setattr(pencil, "pencil_cubic", lambda field: original(field).substitute(sub))
+    rep = classify_singular_member(F, param)
+    assert rep.point == tuple(F.coerce(c) for c in point)
+    assert rep.kind == kind
 
 
 def test_degenerate_member_has_several_singular_points():
@@ -420,18 +444,50 @@ def test_sextic_verdict_matches_groebner(monkeypatch, text, smooth, splits):
     monkeypatch.setattr(pencil, "SimpleExtension", extension)
     monkeypatch.setattr(fields, "ZeroDivisorError", CountedSplit)
     assert _groebner_smooth(text) is smooth
-    assert pencil._plane_sextic_smooth(_sextic(text)) is smooth
+    assert pencil._plane_sextic_smooth(_sextic(text), "x") is smooth
     # the screen left candidates, and they were decided on fibres
     assert built and len(raised) == splits
 
 
+def test_sextic_singular_only_where_no_chart_reaches():
+    # s t x^2 + s^6 + t^6 is smooth on s = 1 and on t = 1, and singular at s = t = 0
+    text = "s*t*x**2 + s**6 + t**6"
+    G = _sextic(text)
+    assert pencil._affine_chart_smooth(G, "s", "x") and pencil._affine_chart_smooth(G, "t", "x")
+    assert _groebner_smooth(text) is False
+    assert pencil._plane_sextic_smooth(G, "x") is False
+
+
 def test_sextic_singular_at_a_prime_field_point():
     assert ((1, 0), (1, 0), (0, 0)) in _singular_points(SEXTIC_PRIME_FIELD_POINT)
-    assert pencil._plane_sextic_smooth(_sextic(SEXTIC_PRIME_FIELD_POINT)) is False
+    assert pencil._plane_sextic_smooth(_sextic(SEXTIC_PRIME_FIELD_POINT), "x") is False
 
 
 def test_sextic_singular_only_over_the_quadratic_extension():
     points = _singular_points(SEXTIC_EXTENSION_POINT)
     assert ((1, 0), (1, 1), (4, 1)) in points
     assert all(any(b for _, b in point) for point in points)  # none over F_5
-    assert pencil._plane_sextic_smooth(_sextic(SEXTIC_EXTENSION_POINT)) is False
+    assert pencil._plane_sextic_smooth(_sextic(SEXTIC_EXTENSION_POINT), "x") is False
+
+
+def test_double_covers_are_smooth_exactly_when_the_branch_sextic_is_squarefree(monkeypatch):
+    # y^2 = h(s, t) in P(1, 1, 3) is singular exactly over a multiple root of h
+    fibres = []
+
+    def extension(*args):
+        fibres.append(args)
+        return fields.SimpleExtension(*args)
+
+    monkeypatch.setattr(pencil, "SimpleExtension", extension)
+    F5 = PrimeField(5)
+    s, t, x, y = Poly.gens(F5, WEIGHTED_VARS, WEIGHTS)
+    rng = random.Random(26)
+    verdicts = set()
+    for _ in range(200):
+        h = Poly.zero(F5, WEIGHTED_VARS, WEIGHTS)
+        while not h:
+            h = sum((rng.randrange(5) * s**k * t ** (6 - k) for k in range(7)), h)
+        squarefree = binary_squarefree(h, "s", "t").degree() == h.degree()
+        assert pencil._plane_sextic_smooth(y**2 - h, "y") is squarefree, h
+        verdicts.add(squarefree)
+    assert verdicts == {True, False} and fibres

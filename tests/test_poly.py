@@ -522,7 +522,7 @@ cases = {
                                       lambda: pencil._project_st(pencil.pencil_cubic(QQ))),
     # [1:1:1] is a base point, hence a smooth point, of the member at [1:1]
     "pencil: singular point": (None, None, None,
-                               lambda: pencil._node_or_cusp(member, (F5.one,) * 3, F5)),
+                               lambda: pencil._node_or_cusp(member, "Z", {"X": F5.one, "Y": F5.one})),
     "pencil: member eliminates y": (pencil, "weighted_member", sextic_zero,
                                     lambda: pencil.weighted_member_check(3)),
     "poly: p-th power": (None, None, None, lambda: poly._pth_root(x**5 + x, "x")),

@@ -21,7 +21,10 @@ The batteries:
 - verify-paper: `verify-paper --json`, each `seconds` value masked;
 - pencil: `pencil --char` at small characteristics, at and past its bound
   and on the primes of the benchmark's `pencil_primes` workload, seeds 1-3,
-  then `crossratio` and `weighted-model`.
+  then `crossratio` and `weighted-model`;
+- parse: `parse` on the notations of the report-hunt battery;
+- malformed: `parse` on notations that the parser refuses, one or more for
+  each of its messages.
 
 The benchmark's item lists are read from `perfbench/` next to this tool,
 which is imported without writing a bytecode cache there.
@@ -85,10 +88,14 @@ def digest(records):
     return h.hexdigest()
 
 
-def report_hunt_argvs():
+def _table1_types():
+    """The notations of the 530 Table 1 types with n, m <= 30."""
     _, _, listing, _ = run(["table1", "--n", "0..30", "--m", "1..30"])
-    types = [inst["type"] for inst in json.loads(listing)["instances"]]
-    return [[cmd, t] for t in types for cmd in ("report", "hunt")]
+    return [inst["type"] for inst in json.loads(listing)["instances"]]
+
+
+def report_hunt_argvs():
+    return [[cmd, t] for t in _table1_types() for cmd in ("report", "hunt")]
 
 
 def large_graphs_argvs():
@@ -182,6 +189,32 @@ def pencil_argvs():
     return out + [["crossratio"], ["weighted-model"]]
 
 
+# notations the parser refuses, each message at an offset past 0 where it can be
+MALFORMED = (
+    "",
+    "[2,3",  # an unbalanced bracket
+    "[2,3]]",
+    "[2]+2,3]",
+    "[2,1,3]",  # weight 1
+    "[2]+1[3]",  # multiplicity prefix 1
+    "[2;[2],[3]]",  # a star with two branches
+    "[2;[2],[3^0],[3]]",
+    "[2,3;[2],[2],[2]]",
+    "[2]+[2^2000]",  # past MAX_VERTICES
+    "[2]+3[2^667]",
+    "[2,\u0663]",  # a non-ASCII digit
+    "[2^\u00b2]",
+)
+
+
+def parse_argvs():
+    return [["parse", t] for t in _table1_types()]
+
+
+def malformed_argvs():
+    return [["parse", t] for t in MALFORMED]
+
+
 BATTERIES = {
     "report-hunt": report_hunt_argvs,
     "large-graphs": large_graphs_argvs,
@@ -191,6 +224,8 @@ BATTERIES = {
     "table1-below": table1_below_argvs,
     "verify-paper": lambda: [["verify-paper", "--json"]],
     "pencil": pencil_argvs,
+    "parse": parse_argvs,
+    "malformed": malformed_argvs,
 }
 
 
